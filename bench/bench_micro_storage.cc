@@ -58,11 +58,7 @@ void AdmitWithEviction(BlockManager& bm, const BlockId& id, BlockPtr block) {
       }
     }
     const MemoryEntry& v = entries[victim];
-    if (!bm.disk().Contains(v.id) && !bm.InFlightSpill(v.id)) {
-      if (!bm.SpillAsync(v.id, v.data)) {
-        bm.SpillToDisk(v.id, *v.data);  // queue full or sync_spill: pay inline
-      }
-    }
+    bm.WriteBack(v.id, v.data, /*charge=*/nullptr);  // inline when full or sync_spill
     if (bm.memory().RemoveIfUnpinned(v.id) == 0) {
       bm.CancelSpill(v.id);
       break;

@@ -234,8 +234,9 @@ int Run() {
   EngineConfig config;
   config.num_executors = 4;
   config.threads_per_executor = 2;
-  // ~60% of the pool fits: the skewed tail stays hot in memory while cold
-  // datasets cycle through eviction — steady cache pressure, as production.
+  // ~60% of the pool fits: the blocks evicted while the pool is warmed are
+  // served from disk afterwards (disk hits are not re-admitted), so the
+  // measured phase evicts nothing and the pressure is on the disk read path.
   config.memory_capacity_per_executor =
       dataset_bytes * static_cast<uint64_t>(params.datasets) * 6 / 10 / config.num_executors;
   config.disk_throughput_bytes_per_sec = 64ULL << 20;
@@ -268,8 +269,8 @@ int Run() {
   const uint16_t port = engine.exporter()->port();
 
   // The shared dataset pool, each cached and pre-warmed so the measured phase
-  // sees steady-state cache behavior (hits on the hot tail, misses + evictions
-  // on the cold one), not first-touch materialization.
+  // sees steady-state cache behavior (memory and disk hits), not first-touch
+  // materialization.
   std::vector<RddPtr<std::pair<uint32_t, uint64_t>>> pool;
   pool.reserve(params.datasets);
   Rng gen_rng(42);

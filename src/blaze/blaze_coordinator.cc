@@ -152,23 +152,13 @@ bool BlazeCoordinator::EvictBlock(size_t executor, const MemoryEntry& victim, bo
   BlockManager& bm = engine_->block_manager(executor);
   spill = spill && DiskHasRoom(executor, victim.size_bytes);
   const bool to_disk = spill && options_.use_disk;
-  bool spilled_async = false;
-  if (to_disk && !bm.disk().Contains(victim.id) && !bm.InFlightSpill(victim.id)) {
-    // Off the task path when the spill worker accepts; otherwise the evicting
-    // task (when there is one) pays the serialize+write synchronously.
-    spilled_async = bm.SpillAsync(victim.id, victim.data);
-    if (!spilled_async) {
-      const double ms = bm.SpillToDisk(victim.id, *victim.data);
-      if (tc != nullptr) {
-        tc->metrics().cache_disk_ms += ms;
-        tc->metrics().cache_disk_bytes_written += victim.size_bytes;
-      }
-    }
-  }
+  const auto written = to_disk ? bm.WriteBack(victim.id, victim.data,
+                                              tc != nullptr ? &tc->metrics() : nullptr)
+                               : BlockManager::WriteBackResult::kSkipped;
   if (bm.memory().RemoveIfUnpinned(victim.id) == 0) {
     // Pinned by an executing task (or already gone): eviction refused; the
     // queued write would only duplicate a still-resident block.
-    if (spilled_async) {
+    if (written == BlockManager::WriteBackResult::kQueued) {
       bm.CancelSpill(victim.id);
     }
     return false;
@@ -373,13 +363,10 @@ void BlazeCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
   if (spill && options_.ilp && desired != PartitionState::kDisk) {
     spill = cost.cost_d_ms < cost.cost_r_ms;
   }
-  if (spill && !bm.disk().Contains(id) && !bm.InFlightSpill(id)) {
-    // Prefer the off-path write; until it commits, lookups are served from
-    // the spill queue's write-claim.
-    if (!bm.SpillAsync(id, cached)) {
-      tc.metrics().cache_disk_ms += bm.SpillToDisk(id, *cached);
-      tc.metrics().cache_disk_bytes_written += size;
-    }
+  // Until an off-path write commits, lookups are served from the spill
+  // queue's write-claim.
+  if (spill && bm.WriteBack(id, cached, &tc.metrics()) !=
+                   BlockManager::WriteBackResult::kSkipped) {
     lineage_.SetState(rdd.id(), partition, PartitionState::kDisk);
     engine_->metrics().RecordEviction(executor, size, /*to_disk=*/true);
     engine_->audit().Admit(static_cast<uint32_t>(executor), id.rdd_id, id.partition, size,

@@ -80,8 +80,8 @@ class BlazeCoordinator : public CacheCoordinator {
 
   // Spills or discards one resident victim; updates lineage state, metrics,
   // and the cache audit log (reason/score/candidates describe the decision).
-  // The write goes to the spill worker when it has room (off the task path);
-  // otherwise the caller's task pays it synchronously. Returns false when the
+  // The write goes through BlockManager::WriteBack; a synchronous fallback is
+  // charged to `tc` when there is one. Returns false when the
   // eviction was refused because the victim is pinned by an executing task.
   bool EvictBlock(size_t executor, const MemoryEntry& victim, bool spill, TaskContext* tc,
                   const char* reason, double score, uint32_t candidates);

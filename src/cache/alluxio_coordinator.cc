@@ -101,16 +101,15 @@ void AlluxioCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
 
   const uint64_t size = raw->SizeBytes();
   BlockManager& bm = engine_->block_manager(executor);
+  // RawBlock::EncodeTo emits the raw bytes verbatim, so a write-back of a
+  // serialized block produces the same file as a direct Put of its bytes.
   if (size > tier.capacity_bytes()) {
     // Straight to the disk tier.
-    const DiskOpResult op = bm.disk().Put(id, raw->bytes());
-    engine_->metrics().RecordDiskStoreDelta(static_cast<int64_t>(op.bytes));
-    engine_->metrics().RecordDiskIo(op.elapsed_ms);
-    tc.metrics().cache_disk_ms += op.elapsed_ms;
-    tc.metrics().cache_disk_bytes_written += op.bytes;
-    engine_->metrics().RecordEviction(executor, size, /*to_disk=*/true);
-    engine_->audit().Admit(static_cast<uint32_t>(executor), id.rdd_id, id.partition, size,
-                           /*to_disk=*/true, "AlluxioLRU", "exceeds_tier_capacity");
+    if (bm.WriteBack(id, raw, &tc.metrics()) != BlockManager::WriteBackResult::kSkipped) {
+      engine_->metrics().RecordEviction(executor, size, /*to_disk=*/true);
+      engine_->audit().Admit(static_cast<uint32_t>(executor), id.rdd_id, id.partition, size,
+                             /*to_disk=*/true, "AlluxioLRU", "exceeds_tier_capacity");
+    }
     return;
   }
   // LRU-evict serialized victims from the memory tier to the disk tier.
@@ -123,20 +122,7 @@ void AlluxioCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
         victim = i;
       }
     }
-    const auto* victim_raw = dynamic_cast<const RawBlock*>(entries[victim].data.get());
-    BLAZE_CHECK(victim_raw != nullptr);
-    if (!bm.disk().Contains(entries[victim].id) && !bm.InFlightSpill(entries[victim].id)) {
-      // RawBlock::EncodeTo emits the raw bytes verbatim, so the spill
-      // worker's write produces the same file as the direct Put; only the
-      // full-queue / sync_spill fallback stays on the task path.
-      if (!bm.SpillAsync(entries[victim].id, entries[victim].data)) {
-        const DiskOpResult op = bm.disk().Put(entries[victim].id, victim_raw->bytes());
-        engine_->metrics().RecordDiskStoreDelta(static_cast<int64_t>(op.bytes));
-        engine_->metrics().RecordDiskIo(op.elapsed_ms);
-        tc.metrics().cache_disk_ms += op.elapsed_ms;
-        tc.metrics().cache_disk_bytes_written += op.bytes;
-      }
-    }
+    bm.WriteBack(entries[victim].id, entries[victim].data, &tc.metrics());
     tier.Remove(entries[victim].id);
     engine_->metrics().RecordEviction(executor, entries[victim].size_bytes, /*to_disk=*/true);
     engine_->audit().Evict(static_cast<uint32_t>(executor), entries[victim].id.rdd_id,

@@ -146,7 +146,13 @@ bool PolicyCoordinator::EnsureSpace(size_t executor, uint64_t needed, RddId inco
                                     TaskContext& tc) {
   BlockManager& bm = engine_->block_manager(executor);
   const TenantRegistry* tenants = engine_->tenants();
-  while (bm.memory().free_bytes() < needed) {
+  for (;;) {
+    // Read once per round: the bound moves under concurrent shuffle
+    // reservations, and the feasibility check below must see the same value.
+    const uint64_t free_bytes = bm.memory().free_bytes();
+    if (free_bytes >= needed) {
+      return true;
+    }
     // Pinned entries are not eviction candidates: an executing task still
     // references them, and RemoveIfUnpinned would refuse anyway. In
     // multi-tenant mode the candidate set also honours the eviction floor
@@ -157,26 +163,29 @@ bool PolicyCoordinator::EnsureSpace(size_t executor, uint64_t needed, RddId inco
     // the policy only when nothing else can satisfy the request.
     std::vector<MemoryEntry> candidates;
     std::vector<MemoryEntry> shared_hot;
+    uint64_t evictable = 0;
     for (MemoryEntry& entry : bm.memory().Entries()) {
       if (entry.id.rdd_id == incoming_rdd || entry.pins > 0) {
         continue;
       }
-      if (tenants != nullptr) {
-        if (!tenants->MayEvict(tc.tenant(), entry.tenant, bm.arbiter())) {
-          continue;
-        }
-        if (tenants->TenantsReferencing(entry.id.rdd_id) > 1) {
-          shared_hot.push_back(std::move(entry));
-          continue;
-        }
+      if (tenants != nullptr && !tenants->MayEvict(tc.tenant(), entry.tenant, bm.arbiter())) {
+        continue;
       }
-      candidates.push_back(std::move(entry));
+      evictable += entry.size_bytes;
+      if (tenants != nullptr && tenants->TenantsReferencing(entry.id.rdd_id) > 1) {
+        shared_hot.push_back(std::move(entry));
+      } else {
+        candidates.push_back(std::move(entry));
+      }
+    }
+    // Feasibility first, like Spark's evictBlocksToFreeSpace: when even every
+    // candidate together cannot make room, evict nothing (and let no policy
+    // record a victim) instead of emptying the cache for a refused admission.
+    if (free_bytes + evictable < needed) {
+      return false;
     }
     if (candidates.empty()) {
       candidates = std::move(shared_hot);
-    }
-    if (candidates.empty()) {
-      return false;
     }
     size_t victim_index = 0;
     {
@@ -185,24 +194,15 @@ bool PolicyCoordinator::EnsureSpace(size_t executor, uint64_t needed, RddId inco
     }
     const MemoryEntry& victim = candidates[victim_index];
     const bool to_disk = mode_ == EvictionMode::kMemAndDisk;
-    const bool needs_write =
-        to_disk && !bm.disk().Contains(victim.id) && !bm.InFlightSpill(victim.id);
-    bool spilled_async = false;
-    if (needs_write) {
-      // Off-path eviction: hand the payload to the spill worker before the
-      // memory entry goes away so the write-claim read-through has no gap.
-      spilled_async = bm.SpillAsync(victim.id, victim.data);
-      if (!spilled_async) {
-        // Queue full or sync_spill: the evicting task pays the disk time.
-        tc.metrics().cache_disk_ms += bm.SpillToDisk(victim.id, *victim.data);
-        tc.metrics().cache_disk_bytes_written += victim.size_bytes;
-      }
-    }
+    // The write is handed off before the memory entry goes away, so the
+    // write-claim read-through has no gap.
+    const auto written = to_disk ? bm.WriteBack(victim.id, victim.data, &tc.metrics())
+                                 : BlockManager::WriteBackResult::kSkipped;
     if (bm.memory().RemoveIfUnpinned(victim.id) == 0) {
       // The victim got pinned (or removed) between the snapshot and now; its
       // payload stays resident, so the queued write is pointless. (A sync
       // write that already landed just leaves a redundant disk copy.)
-      if (spilled_async) {
+      if (written == BlockManager::WriteBackResult::kQueued) {
         bm.CancelSpill(victim.id);
       }
       continue;  // re-snapshot and pick another victim
@@ -214,7 +214,6 @@ bool PolicyCoordinator::EnsureSpace(size_t executor, uint64_t needed, RddId inco
                            static_cast<double>(victim.last_access_seq),
                            static_cast<uint32_t>(candidates.size()), victim.tenant);
   }
-  return true;
 }
 
 void PolicyCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
@@ -249,21 +248,22 @@ void PolicyCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
   // TryPut, not Put: with the arbiter attached the cache bound moves under
   // concurrent shuffle reservations, so the headroom EnsureSpace freed can
   // legitimately be gone by the time the insert lands.
-  if (size <= bm.memory().effective_capacity_bytes() &&
-      EnsureSpace(executor, size, rdd.id(), tc) &&
+  const bool oversized = size > bm.memory().effective_capacity_bytes();
+  if (!oversized && EnsureSpace(executor, size, rdd.id(), tc) &&
       bm.memory().TryPut(id, cached, size, owner)) {
     engine_->audit().Admit(static_cast<uint32_t>(executor), id.rdd_id, id.partition, size,
                            /*to_disk=*/false, policy_->name(), "annotated", owner);
     return;
   }
-  // Does not fit in memory at all: MEM_AND_DISK stores it straight on disk.
-  if (mode_ == EvictionMode::kMemAndDisk && !bm.disk().Contains(id)) {
-    tc.metrics().cache_disk_ms += bm.SpillToDisk(id, *cached);
-    tc.metrics().cache_disk_bytes_written += size;
+  // No room in memory: MEM_AND_DISK stores it straight on disk, through the
+  // same write-claim path as an eviction (off the task thread, readable from
+  // the spill queue until the write commits).
+  if (mode_ == EvictionMode::kMemAndDisk &&
+      bm.WriteBack(id, cached, &tc.metrics()) != BlockManager::WriteBackResult::kSkipped) {
     engine_->metrics().RecordEviction(executor, size, /*to_disk=*/true);
     engine_->audit().Admit(static_cast<uint32_t>(executor), id.rdd_id, id.partition, size,
-                           /*to_disk=*/true, policy_->name(), "exceeds_memory_capacity",
-                           owner);
+                           /*to_disk=*/true, policy_->name(),
+                           oversized ? "exceeds_memory_capacity" : "no_evictable_room", owner);
   }
 }
 

@@ -43,8 +43,9 @@ class PolicyCoordinator : public CacheCoordinator {
   // Frees at least `needed` bytes on the executor by evicting policy-chosen
   // victims (spilled to disk in MEM_AND_DISK mode, discarded in MEM_ONLY).
   // Blocks of `incoming_rdd` are never victims (Spark's same-RDD guard).
-  // Returns false if the space cannot be freed. Caller holds the executor lock;
-  // spill time is charged to `tc`.
+  // Returns false, before evicting anything, when even every candidate together
+  // cannot free the space. Caller holds the executor lock; a synchronous spill
+  // fallback is charged to `tc`.
   bool EnsureSpace(size_t executor, uint64_t needed, RddId incoming_rdd, TaskContext& tc);
 
   // Runs one prefetch sweep (MRD); executed on the background prefetcher.

@@ -31,6 +31,23 @@ bool BlockManager::SpillAsync(const BlockId& id, BlockPtr data) {
   return spill_->EnqueueSpill(id, std::move(data));
 }
 
+BlockManager::WriteBackResult BlockManager::WriteBack(const BlockId& id, const BlockPtr& data,
+                                                      TaskMetrics* charge) {
+  if (disk_.Contains(id) || InFlightSpill(id)) {
+    return WriteBackResult::kSkipped;
+  }
+  if (SpillAsync(id, data)) {
+    return WriteBackResult::kQueued;
+  }
+  // Queue full, same id mid-write, or sync_spill: the caller pays the write.
+  const double ms = SpillToDisk(id, *data);
+  if (charge != nullptr) {
+    charge->cache_disk_ms += ms;
+    charge->cache_disk_bytes_written += data->SizeBytes();
+  }
+  return WriteBackResult::kWritten;
+}
+
 std::optional<BlockPtr> BlockManager::InFlightSpill(const BlockId& id) const {
   return spill_->FindInFlight(id);
 }

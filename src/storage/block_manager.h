@@ -6,9 +6,10 @@
 // PR 5 additions: the BlockManager owns the executor's MemoryArbiter (one
 // byte ledger for cache blocks and shuffle/execution buffers — the memory
 // store's capacity bound shrinks as shuffle bytes are charged) and its
-// SpillQueue (asynchronous spill/fetch worker). SpillAsync/FetchAsync are the
-// off-path entry points; `sync_spill` in the config is the kill switch that
-// turns them off so coordinators fall back to the original synchronous path.
+// SpillQueue (asynchronous spill/fetch worker). WriteBack is the single disk
+// write path coordinators use; it and FetchAsync go off-path through the
+// queue, and `sync_spill` in the config is the kill switch that turns the
+// queue off so every write falls back to the synchronous path.
 #ifndef SRC_STORAGE_BLOCK_MANAGER_H_
 #define SRC_STORAGE_BLOCK_MANAGER_H_
 
@@ -57,6 +58,19 @@ class BlockManager {
   // path. Returns false — caller must SpillToDisk synchronously — when the
   // queue is full, the same id is mid-write, or sync_spill is set.
   bool SpillAsync(const BlockId& id, BlockPtr data);
+
+  enum class WriteBackResult {
+    kSkipped,  // already on disk or already queued: nothing to write
+    kQueued,   // handed to the spill worker (CancelSpill revokes it)
+    kWritten,  // written synchronously on the calling thread
+  };
+
+  // The one disk-write path for every cache coordinator (evictions and
+  // admissions straight to disk alike). Skips a block that is already on disk
+  // or queued; otherwise enqueues it with SpillAsync, and writes synchronously
+  // only when SpillAsync refuses. A synchronous write's milliseconds and
+  // bytes are charged to `charge` when it is non-null.
+  WriteBackResult WriteBack(const BlockId& id, const BlockPtr& data, TaskMetrics* charge);
 
   // The in-memory payload of a spill that has not committed yet (write-claim
   // read-through): present from SpillAsync until the disk write lands.

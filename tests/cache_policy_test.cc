@@ -239,6 +239,9 @@ TEST(PolicyCoordinatorTest, MemAndDiskServesEvictionsFromDisk) {
   rdd->Cache();
   EXPECT_EQ(rdd->Count(), 8u * 4000u);
   EXPECT_EQ(generations->load(), 8);
+  // Disk writes go through the spill worker; commit them so the re-read is
+  // served from disk rather than from an in-flight write-claim.
+  engine.DrainAllSpills();
   EXPECT_EQ(rdd->Count(), 8u * 4000u);
   EXPECT_EQ(generations->load(), 8);  // recovered from disk, never recomputed
   const auto snap = engine.metrics().Snapshot();
@@ -268,19 +271,96 @@ TEST(PolicyCoordinatorTest, UnpersistDropsAllTiers) {
   EXPECT_GT(engine.TotalMemoryUsed() + engine.block_manager(0).disk().used_bytes(), 0u);
   rdd->Unpersist();
   EXPECT_EQ(engine.TotalMemoryUsed(), 0u);
+  // A write the unpersist caught mid-flight deletes its file once it commits.
+  engine.DrainAllSpills();
   EXPECT_EQ(engine.block_manager(0).disk().used_bytes(), 0u);
 }
 
+// A throttled disk keeps a straight-to-disk admission in flight long enough
+// to observe it: the block's 40 KB take ~300 ms at 128 KiB/s.
+EngineConfig SlowDiskConfig(uint64_t capacity) {
+  EngineConfig config = TinyConfig(capacity);
+  config.disk_throughput_bytes_per_sec = KiB(128);
+  return config;
+}
+
+// The admission goes through the spill queue like an eviction: the task pays
+// no disk time, and the block stays readable until (and after) the commit.
 TEST(PolicyCoordinatorTest, OversizedBlockGoesStraightToDisk) {
-  EngineContext engine(TinyConfig(KiB(4)));
+  EngineContext engine(SlowDiskConfig(KiB(4)));
+  engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
+                                                            EvictionMode::kMemAndDisk));
+  auto generations = std::make_shared<std::atomic<int>>(0);
+  auto rdd = Generate<int>(&engine, "huge", 1, [generations](uint32_t) {
+    generations->fetch_add(1);
+    return std::vector<int>(10000, 1);
+  });
+  rdd->Cache();
+  EXPECT_EQ(rdd->Count(), 10000u);
+  // The task handed the write to the spill worker and paid none of it.
+  EXPECT_EQ(engine.metrics().Snapshot().total_task.cache_disk_bytes_written, 0u);
+  BlockManager& bm = engine.block_manager(0);
+  const BlockId id{rdd->id(), 0};
+  ASSERT_TRUE(bm.InFlightSpill(id).has_value());
+  EXPECT_EQ(rdd->Count(), 10000u);  // served from the write-claim before commit
+  engine.DrainAllSpills();
+  EXPECT_EQ(engine.TotalMemoryUsed(), 0u);
+  EXPECT_FALSE(bm.InFlightSpill(id).has_value());
+  EXPECT_TRUE(bm.disk().Contains(id));
+  EXPECT_EQ(rdd->Count(), 10000u);  // and from disk after it
+  EXPECT_EQ(generations->load(), 1);
+  const auto snap = engine.metrics().Snapshot();
+  EXPECT_EQ(snap.cache_hits_memory, 1u);
+  EXPECT_EQ(snap.cache_hits_disk, 1u);
+}
+
+TEST(PolicyCoordinatorTest, UnpersistBeforeWriteCommitLeavesNoDiskCopy) {
+  EngineContext engine(SlowDiskConfig(KiB(4)));
   engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
                                                             EvictionMode::kMemAndDisk));
   auto rdd = Generate<int>(&engine, "huge", 1,
                            [](uint32_t) { return std::vector<int>(10000, 1); });
   rdd->Cache();
   rdd->Count();
-  EXPECT_EQ(engine.TotalMemoryUsed(), 0u);
-  EXPECT_GT(engine.block_manager(0).disk().used_bytes(), 0u);
+  ASSERT_TRUE(engine.block_manager(0).InFlightSpill(BlockId{rdd->id(), 0}).has_value());
+  rdd->Unpersist();
+  engine.DrainAllSpills();
+  EXPECT_EQ(engine.block_manager(0).disk().used_bytes(), 0u);
+}
+
+// Blocks of the dataset being admitted are never victims, so when the other
+// datasets' bytes cannot make room the admission is refused up front: nothing
+// is evicted, and the block goes to disk for lack of evictable room (not for
+// exceeding the executor's capacity).
+TEST(PolicyCoordinatorTest, InfeasibleAdmissionEvictsNothing) {
+  EngineContext engine(TinyConfig(KiB(48)));
+  engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
+                                                            EvictionMode::kMemAndDisk));
+  // ~8 KB resident plus two ~28 KB partitions: either partition fits next to
+  // the resident block, but the second one cannot fit even if it is evicted.
+  auto resident = Generate<int>(&engine, "resident", 1,
+                                [](uint32_t) { return std::vector<int>(2000, 1); });
+  auto incoming = Generate<int>(&engine, "incoming", 2,
+                                [](uint32_t) { return std::vector<int>(7000, 2); });
+  resident->Cache();
+  incoming->Cache();
+  resident->Count();
+  incoming->Count();
+  engine.DrainAllSpills();
+  BlockManager& bm = engine.block_manager(0);
+  EXPECT_TRUE(bm.memory().Contains(BlockId{resident->id(), 0}));
+  const bool first_in_memory = bm.memory().Contains(BlockId{incoming->id(), 0});
+  EXPECT_NE(first_in_memory, bm.memory().Contains(BlockId{incoming->id(), 1}));
+  EXPECT_TRUE(bm.disk().Contains(BlockId{incoming->id(), first_in_memory ? 1u : 0u}));
+  bool saw_disk_admit = false;
+  for (const AuditRecord& record : engine.audit().Snapshot()) {
+    EXPECT_NE(record.kind, AuditKind::kEvict);
+    if (record.kind == AuditKind::kAdmit && record.to_disk) {
+      EXPECT_STREQ(record.reason, "no_evictable_room");
+      saw_disk_admit = true;
+    }
+  }
+  EXPECT_TRUE(saw_disk_admit);
 }
 
 TEST(AlluxioCoordinatorTest, ServesSerializedHitsAndCountsDeserTime) {
@@ -314,6 +394,23 @@ TEST(AlluxioCoordinatorTest, EvictsSerializedVictimsToDisk) {
   engine.DrainAllSpills();
   EXPECT_GT(engine.block_manager(0).disk().used_bytes(), 0u);
   EXPECT_EQ(rdd->Count(), 16000u);  // recoverable from the disk tier
+}
+
+TEST(AlluxioCoordinatorTest, OversizedBlockWritesOffTheTaskThread) {
+  EngineContext engine(TinyConfig(KiB(4)));
+  engine.SetCoordinator(std::make_unique<AlluxioCoordinator>(&engine));
+  auto generations = std::make_shared<std::atomic<int>>(0);
+  auto rdd = Generate<int>(&engine, "huge", 1, [generations](uint32_t) {
+    generations->fetch_add(1);
+    return std::vector<int>(10000, 1);  // ~40 KB serialized: exceeds the tier
+  });
+  rdd->Cache();
+  EXPECT_EQ(rdd->Count(), 10000u);
+  EXPECT_EQ(engine.metrics().Snapshot().total_task.cache_disk_bytes_written, 0u);
+  engine.DrainAllSpills();
+  EXPECT_GT(engine.block_manager(0).disk().used_bytes(), 0u);
+  EXPECT_EQ(rdd->Count(), 10000u);
+  EXPECT_EQ(generations->load(), 1);  // read back from the disk tier
 }
 
 }  // namespace

@@ -95,6 +95,43 @@ TEST_F(SpillPipelineTest, SyncSpillKillSwitchDisablesQueue) {
   EXPECT_TRUE(bm.disk().Contains(BlockId{3, 0}));
 }
 
+TEST_F(SpillPipelineTest, WriteBackQueuesOnceAndChargesNothing) {
+  RunMetrics metrics(1);
+  BlockManager bm(0, Config(/*throughput=*/KiB(64)), &metrics);
+  const BlockId id{11, 0};
+  TaskMetrics charge;
+  EXPECT_EQ(bm.WriteBack(id, IntBlock(1, 4096), &charge),
+            BlockManager::WriteBackResult::kQueued);
+  // Already claimed by the spill worker, then already on disk: no second write.
+  EXPECT_EQ(bm.WriteBack(id, IntBlock(1, 4096), &charge),
+            BlockManager::WriteBackResult::kSkipped);
+  bm.DrainSpills();
+  EXPECT_EQ(bm.WriteBack(id, IntBlock(1, 4096), &charge),
+            BlockManager::WriteBackResult::kSkipped);
+  EXPECT_TRUE(bm.disk().Contains(id));
+  EXPECT_EQ(charge.cache_disk_bytes_written, 0u);
+  EXPECT_EQ(charge.cache_disk_ms, 0.0);
+  EXPECT_EQ(metrics.Snapshot().async_spills, 1u);
+}
+
+TEST_F(SpillPipelineTest, WriteBackFallsBackToSyncAndChargesTheCaller) {
+  RunMetrics metrics(1);
+  BlockManagerConfig config = Config();
+  config.sync_spill = true;
+  BlockManager bm(0, config, &metrics);
+  const BlockId id{12, 0};
+  const BlockPtr block = IntBlock(1, 100);
+  TaskMetrics charge;
+  EXPECT_EQ(bm.WriteBack(id, block, &charge), BlockManager::WriteBackResult::kWritten);
+  EXPECT_TRUE(bm.disk().Contains(id));
+  EXPECT_EQ(charge.cache_disk_bytes_written, block->SizeBytes());
+  EXPECT_GE(charge.cache_disk_ms, 0.0);
+  // A null charge (eviction with no task, e.g. an ILP demotion) still writes.
+  EXPECT_EQ(bm.WriteBack(BlockId{12, 1}, block, nullptr),
+            BlockManager::WriteBackResult::kWritten);
+  EXPECT_TRUE(bm.disk().Contains(BlockId{12, 1}));
+}
+
 TEST_F(SpillPipelineTest, FullQueueRejectsAndCountsIt) {
   RunMetrics metrics(1);
   BlockManagerConfig config = Config(/*throughput=*/KiB(32));

@@ -176,6 +176,15 @@ dist_smoke() {
   ./build/tools/dist_smoke
 }
 
+bench_smoke() {
+  # Benchmark smoke: every benchmark workload at a tenth of its inputs, one
+  # round each. run.sh exits nonzero on a build failure or on any wrong
+  # result (checked against an LRU 1 GiB reference run), so this guards the
+  # correctness of all four workloads; it asserts nothing about timing.
+  echo "=== [plain] benchmark smoke ==="
+  bash benchmark/run.sh --smoke
+}
+
 perf_smoke() {
   # Wall-clock guard for the fig09 hot path: best-of-3 at scale 0.25 on the
   # PageRank workload must stay within 10% of the recorded seed numbers
@@ -217,6 +226,7 @@ if [[ "$mode" == "plain" || "$mode" == "all" ]]; then
   traffic_slo_smoke
   tenant_smoke build
   dist_smoke
+  bench_smoke
   perf_smoke
 fi
 

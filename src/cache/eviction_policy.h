@@ -46,6 +46,36 @@ class EvictionPolicy {
   virtual size_t SelectVictim(const std::vector<MemoryEntry>& candidates,
                               const DependencyDigest& digest) = 0;
 
+  // Two-tier reads: may a block just read from disk enter memory? A
+  // promotion may only displace blocks the policy ranks below the promoted
+  // one, so the answer is yes when those blocks among `candidates` (the
+  // blocks an insert could evict) hold at least `needed` bytes. With the room
+  // already free (`needed` == 0) the block must still outrank one candidate,
+  // unless there is none. `incoming` carries the block's id, size and the
+  // recency to rank it by (see PolicyCoordinator::PromoteLocked).
+  bool ShouldPromote(const MemoryEntry& incoming, const std::vector<MemoryEntry>& candidates,
+                     uint64_t needed, const DependencyDigest& digest) const {
+    bool outranks_any = candidates.empty();
+    uint64_t outranked = 0;
+    for (const MemoryEntry& resident : candidates) {
+      if (Outranks(incoming, resident, digest)) {
+        outranks_any = true;
+        outranked += resident.size_bytes;
+      }
+    }
+    return outranks_any && outranked >= needed;
+  }
+
+  // True if the policy would evict `resident` before `incoming`. Must not
+  // change policy state. The default is a LIRS-style reuse test on recency:
+  // a block re-read within the cache's reach displaces colder ones, while a
+  // cyclic scan longer than the cache promotes nothing.
+  virtual bool Outranks(const MemoryEntry& incoming, const MemoryEntry& resident,
+                        const DependencyDigest& digest) const {
+    (void)digest;
+    return resident.last_access_seq < incoming.last_access_seq;
+  }
+
   // Called on every cache miss for a cache-managed block. Learning policies
   // (LeCaR) use this to observe regret: a miss on a block one of their
   // experts recently evicted means that expert made a mistake.

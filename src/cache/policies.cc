@@ -24,6 +24,20 @@ size_t ArgMin(const std::vector<MemoryEntry>& candidates, KeyFn key) {
   return best;
 }
 
+auto LrcKey(const DependencyDigest& digest) {
+  return [&digest](const MemoryEntry& e) {
+    return std::make_pair(digest.RefCount(e.id.rdd_id), e.last_access_seq);
+  };
+}
+
+// Largest reference distance evicted first => minimize the negated distance.
+auto MrdKey(const DependencyDigest& digest) {
+  return [&digest](const MemoryEntry& e) {
+    return std::make_pair(-static_cast<int64_t>(digest.ReferenceDistance(e.id.rdd_id)),
+                          static_cast<int64_t>(e.last_access_seq));
+  };
+}
+
 }  // namespace
 
 size_t LruPolicy::SelectVictim(const std::vector<MemoryEntry>& candidates,
@@ -45,18 +59,24 @@ size_t LfuPolicy::SelectVictim(const std::vector<MemoryEntry>& candidates,
 
 size_t LrcPolicy::SelectVictim(const std::vector<MemoryEntry>& candidates,
                                const DependencyDigest& digest) {
-  return ArgMin(candidates, [&digest](const MemoryEntry& e) {
-    return std::make_pair(digest.RefCount(e.id.rdd_id), e.last_access_seq);
-  });
+  return ArgMin(candidates, LrcKey(digest));
+}
+
+bool LrcPolicy::Outranks(const MemoryEntry& incoming, const MemoryEntry& resident,
+                         const DependencyDigest& digest) const {
+  const auto key = LrcKey(digest);
+  return key(resident) < key(incoming);
 }
 
 size_t MrdPolicy::SelectVictim(const std::vector<MemoryEntry>& candidates,
                                const DependencyDigest& digest) {
-  // Largest reference distance evicted first => minimize the negated distance.
-  return ArgMin(candidates, [&digest](const MemoryEntry& e) {
-    return std::make_pair(-static_cast<int64_t>(digest.ReferenceDistance(e.id.rdd_id)),
-                          static_cast<int64_t>(e.last_access_seq));
-  });
+  return ArgMin(candidates, MrdKey(digest));
+}
+
+bool MrdPolicy::Outranks(const MemoryEntry& incoming, const MemoryEntry& resident,
+                         const DependencyDigest& digest) const {
+  const auto key = MrdKey(digest);
+  return key(resident) < key(incoming);
 }
 
 bool MrdPolicy::ShouldPrefetch(RddId id, const DependencyDigest& digest) const {

@@ -38,20 +38,27 @@ class LfuPolicy : public EvictionPolicy {
 
 // Evicts the block whose dataset has the fewest remaining references in the
 // current job (ties broken LRU). Datasets unreferenced by the job rank first.
+// Promotes a disk hit only over blocks ranked below it on the same
+// (reference count, recency) key.
 class LrcPolicy : public EvictionPolicy {
  public:
   const char* name() const override { return "LRC"; }
   size_t SelectVictim(const std::vector<MemoryEntry>& candidates,
                       const DependencyDigest& digest) override;
+  bool Outranks(const MemoryEntry& incoming, const MemoryEntry& resident,
+                const DependencyDigest& digest) const override;
 };
 
 // Evicts the block whose dataset is referenced farthest in the future (in
-// stages); prefetches disk blocks referenced by the imminent stage.
+// stages); prefetches disk blocks referenced by the imminent stage, and
+// promotes a disk hit only over blocks referenced later than it.
 class MrdPolicy : public EvictionPolicy {
  public:
   const char* name() const override { return "MRD"; }
   size_t SelectVictim(const std::vector<MemoryEntry>& candidates,
                       const DependencyDigest& digest) override;
+  bool Outranks(const MemoryEntry& incoming, const MemoryEntry& resident,
+                const DependencyDigest& digest) const override;
   bool WantsPrefetch() const override { return true; }
   bool ShouldPrefetch(RddId id, const DependencyDigest& digest) const override;
 };

@@ -16,6 +16,7 @@ PolicyCoordinator::PolicyCoordinator(EngineContext* engine,
   for (size_t e = 0; e < engine->num_executors(); ++e) {
     executor_mu_.push_back(std::make_unique<std::mutex>());
   }
+  disk_access_.resize(engine->num_executors());
 }
 
 void PolicyCoordinator::OnJobStart(const JobInfo& job) {
@@ -55,7 +56,6 @@ void PolicyCoordinator::OnStageStart(const StageInfo& stage) {
 
 void PolicyCoordinator::PrefetchSweep(DependencyDigest digest_copy) {
   for (size_t e = 0; e < engine_->num_executors(); ++e) {
-    std::lock_guard<std::mutex> lock(*executor_mu_[e]);
     BlockManager& bm = engine_->block_manager(e);
     // Candidate ids: every block on this executor's disk store is tracked via
     // the registry of datasets touched in this job.
@@ -72,6 +72,8 @@ void PolicyCoordinator::PrefetchSweep(DependencyDigest digest_copy) {
         if (bm.memory().Contains(id) || !bm.disk().Contains(id)) {
           continue;
         }
+        // The throttled read runs outside the executor lock, so admissions
+        // on this executor never wait on the prefetcher's disk.
         double read_ms = 0.0;
         auto bytes = bm.ReadFromDisk(id, &read_ms);
         if (!bytes) {
@@ -79,9 +81,12 @@ void PolicyCoordinator::PrefetchSweep(DependencyDigest digest_copy) {
         }
         ByteSource src(*bytes);
         BlockPtr block = rdd->DecodeBlock(src);
-        const uint64_t size = block->SizeBytes();
-        if (size > bm.memory().free_bytes() ||
-            !bm.memory().TryPut(id, std::move(block), size)) {
+        std::lock_guard<std::mutex> lock(*executor_mu_[e]);
+        if (bm.memory().Contains(id) || !bm.disk().Contains(id)) {
+          continue;  // a reader promoted it, or an unpersist dropped it
+        }
+        if (!PromoteLocked(e, *rdd, id, block, bm.memory().Tick(), /*tc=*/nullptr,
+                           "mrd_prefetch")) {
           break;  // no free room on this executor; stop prefetching here
         }
       }
@@ -128,6 +133,18 @@ std::optional<BlockPtr> PolicyCoordinator::Lookup(const RddBase& rdd, uint32_t p
       engine_->metrics().RecordCacheHit(/*from_memory=*/false);
       TRACE_EVENT("cache.hit", "cache", trace::TArg("rdd", id.rdd_id),
                   trace::TArg("part", id.partition), trace::TArg("tier", "disk"));
+      // Two-tier read: the task already holds the decoded block, so putting
+      // it back into memory costs no further disk read.
+      std::lock_guard<std::mutex> lock(*executor_mu_[executor]);
+      // Re-checked under the lock: an unpersist that raced the read must not
+      // see the block come back, and a concurrent reader may have promoted it.
+      if (bm.disk().Contains(id) && !bm.memory().Contains(id)) {
+        auto& accesses = disk_access_[executor];
+        uint64_t& last_access = accesses[id];
+        const uint64_t previous = last_access;
+        last_access = bm.memory().Tick();
+        PromoteLocked(executor, rdd, id, block, previous, &tc, "disk_hit_promote");
+      }
       return block;
     }
   }
@@ -142,10 +159,40 @@ std::optional<BlockPtr> PolicyCoordinator::Lookup(const RddBase& rdd, uint32_t p
   return std::nullopt;
 }
 
+uint64_t PolicyCoordinator::CollectCandidates(BlockManager& bm, RddId incoming_rdd,
+                                              uint32_t tenant,
+                                              std::vector<MemoryEntry>* candidates,
+                                              std::vector<MemoryEntry>* shared_hot) const {
+  // Pinned entries are not eviction candidates: an executing task still
+  // references them, and RemoveIfUnpinned would refuse anyway. In
+  // multi-tenant mode the candidate set also honours the eviction floor
+  // (another tenant's block is fair game only while that tenant is over its
+  // arbiter share — a live-ledger check that stays consistent across
+  // EnsureSpace rounds because each eviction updates the ledger immediately),
+  // and cross-tenant-hot blocks (referenced by several tenants) are offered to
+  // the policy only when nothing else can satisfy the request.
+  const TenantRegistry* tenants = engine_->tenants();
+  uint64_t evictable = 0;
+  for (MemoryEntry& entry : bm.memory().Entries()) {
+    if (entry.id.rdd_id == incoming_rdd || entry.pins > 0) {
+      continue;
+    }
+    if (tenants != nullptr && !tenants->MayEvict(tenant, entry.tenant, bm.arbiter())) {
+      continue;
+    }
+    evictable += entry.size_bytes;
+    if (tenants != nullptr && tenants->TenantsReferencing(entry.id.rdd_id) > 1) {
+      shared_hot->push_back(std::move(entry));
+    } else {
+      candidates->push_back(std::move(entry));
+    }
+  }
+  return evictable;
+}
+
 bool PolicyCoordinator::EnsureSpace(size_t executor, uint64_t needed, RddId incoming_rdd,
                                     TaskContext& tc) {
   BlockManager& bm = engine_->block_manager(executor);
-  const TenantRegistry* tenants = engine_->tenants();
   for (;;) {
     // Read once per round: the bound moves under concurrent shuffle
     // reservations, and the feasibility check below must see the same value.
@@ -153,31 +200,10 @@ bool PolicyCoordinator::EnsureSpace(size_t executor, uint64_t needed, RddId inco
     if (free_bytes >= needed) {
       return true;
     }
-    // Pinned entries are not eviction candidates: an executing task still
-    // references them, and RemoveIfUnpinned would refuse anyway. In
-    // multi-tenant mode the candidate set also honours the eviction floor
-    // (another tenant's block is fair game only while that tenant is over its
-    // arbiter share — a live-ledger check that stays consistent across loop
-    // iterations because each eviction updates the ledger immediately), and
-    // cross-tenant-hot blocks (referenced by several tenants) are offered to
-    // the policy only when nothing else can satisfy the request.
     std::vector<MemoryEntry> candidates;
     std::vector<MemoryEntry> shared_hot;
-    uint64_t evictable = 0;
-    for (MemoryEntry& entry : bm.memory().Entries()) {
-      if (entry.id.rdd_id == incoming_rdd || entry.pins > 0) {
-        continue;
-      }
-      if (tenants != nullptr && !tenants->MayEvict(tc.tenant(), entry.tenant, bm.arbiter())) {
-        continue;
-      }
-      evictable += entry.size_bytes;
-      if (tenants != nullptr && tenants->TenantsReferencing(entry.id.rdd_id) > 1) {
-        shared_hot.push_back(std::move(entry));
-      } else {
-        candidates.push_back(std::move(entry));
-      }
-    }
+    const uint64_t evictable =
+        CollectCandidates(bm, incoming_rdd, tc.tenant(), &candidates, &shared_hot);
     // Feasibility first, like Spark's evictBlocksToFreeSpace: when even every
     // candidate together cannot make room, evict nothing (and let no policy
     // record a victim) instead of emptying the cache for a refused admission.
@@ -207,6 +233,9 @@ bool PolicyCoordinator::EnsureSpace(size_t executor, uint64_t needed, RddId inco
       }
       continue;  // re-snapshot and pick another victim
     }
+    if (to_disk) {
+      disk_access_[executor][victim.id] = victim.last_access_seq;
+    }
     engine_->metrics().RecordEviction(executor, victim.size_bytes, to_disk);
     engine_->audit().Evict(static_cast<uint32_t>(executor), victim.id.rdd_id,
                            victim.id.partition, victim.size_bytes, to_disk, policy_->name(),
@@ -225,7 +254,6 @@ void PolicyCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
   const BlockId id{rdd.id(), partition};
   const size_t executor = engine_->ExecutorFor(partition);
   BlockManager& bm = engine_->block_manager(executor);
-  const TenantRegistry* tenants = engine_->tenants();
   std::lock_guard<std::mutex> lock(*executor_mu_[executor]);
   if (bm.memory().Contains(id)) {
     return;
@@ -235,16 +263,7 @@ void PolicyCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
   // holds. Size, admission, and any disk write all use the cached form.
   const BlockPtr cached = rdd.CacheRepresentation(block);
   const uint64_t size = cached->SizeBytes();
-  // Multi-tenant charging: bytes land on the dataset owner's ledger
-  // (first-toucher; a shared dataset is charged once), falling back to the
-  // computing task's tenant when the registry has not seen the dataset.
-  uint32_t owner = kNoTenant;
-  if (tenants != nullptr) {
-    owner = tenants->OwnerOf(rdd.id());
-    if (owner == kNoTenant) {
-      owner = tc.tenant();
-    }
-  }
+  const uint32_t owner = ChargedTenant(rdd, tc.tenant());
   // TryPut, not Put: with the arbiter attached the cache bound moves under
   // concurrent shuffle reservations, so the headroom EnsureSpace freed can
   // legitimately be gone by the time the insert lands.
@@ -258,13 +277,85 @@ void PolicyCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
   // No room in memory: MEM_AND_DISK stores it straight on disk, through the
   // same write-claim path as an eviction (off the task thread, readable from
   // the spill queue until the write commits).
-  if (mode_ == EvictionMode::kMemAndDisk &&
-      bm.WriteBack(id, cached, &tc.metrics()) != BlockManager::WriteBackResult::kSkipped) {
+  if (mode_ != EvictionMode::kMemAndDisk) {
+    return;
+  }
+  disk_access_[executor][id] = bm.memory().Tick();
+  if (bm.WriteBack(id, cached, &tc.metrics()) != BlockManager::WriteBackResult::kSkipped) {
     engine_->metrics().RecordEviction(executor, size, /*to_disk=*/true);
     engine_->audit().Admit(static_cast<uint32_t>(executor), id.rdd_id, id.partition, size,
                            /*to_disk=*/true, policy_->name(),
                            oversized ? "exceeds_memory_capacity" : "no_evictable_room", owner);
   }
+}
+
+uint32_t PolicyCoordinator::ChargedTenant(const RddBase& rdd, uint32_t fallback) const {
+  const TenantRegistry* tenants = engine_->tenants();
+  if (tenants == nullptr) {
+    return kNoTenant;
+  }
+  const uint32_t owner = tenants->OwnerOf(rdd.id());
+  return owner != kNoTenant ? owner : fallback;
+}
+
+bool PolicyCoordinator::PromoteLocked(size_t executor, const RddBase& rdd, const BlockId& id,
+                                      const BlockPtr& block, uint64_t recency,
+                                      TaskContext* tc, const char* reason) {
+  BlockManager& bm = engine_->block_manager(executor);
+  const uint64_t size = block->SizeBytes();
+  // Read once: the bound moves under concurrent shuffle reservations.
+  const uint64_t free_bytes = bm.memory().free_bytes();
+  const bool fits = size <= free_bytes;
+  if (!fits && (tc == nullptr || size > bm.memory().effective_capacity_bytes())) {
+    return false;
+  }
+  if (tc != nullptr) {
+    std::vector<MemoryEntry> candidates;
+    std::vector<MemoryEntry> shared_hot;
+    CollectCandidates(bm, rdd.id(), tc->tenant(), &candidates, &shared_hot);
+    if (candidates.empty()) {
+      candidates = std::move(shared_hot);
+    }
+    // The gate ranks the block as if its reuse interval were twice as long:
+    // it must come back within half the time a victim has sat idle. With the
+    // bare recency test, a block an iterative job reads once per iteration
+    // gets in over the blocks the previous iteration left idle (data the job
+    // is about to unpersist), costing their write and a later eviction for
+    // no memory hit; the margin keeps such a block on disk.
+    const uint64_t reuse_interval = bm.memory().Tick() - recency;
+    MemoryEntry incoming;
+    incoming.id = id;
+    incoming.size_bytes = size;
+    incoming.last_access_seq = recency > reuse_interval ? recency - reuse_interval : 0;
+    std::lock_guard<std::mutex> lock(digest_mu_);
+    if (!policy_->ShouldPromote(incoming, candidates, fits ? 0 : size - free_bytes,
+                                digest_)) {
+      return false;
+    }
+  }
+  const uint32_t owner = ChargedTenant(rdd, tc != nullptr ? tc->tenant() : kNoTenant);
+  // Into free room the block goes at `recency`, its previous access, so the
+  // next admission displaces this clean block (its disk copy makes that
+  // eviction free) before anything it would have had to write. A block that
+  // made room for itself counts as accessed now.
+  const bool inserted =
+      fits ? bm.memory().TryPut(id, block, size, owner, recency)
+           : EnsureSpace(executor, size, rdd.id(), *tc) &&
+                 bm.memory().TryPut(id, block, size, owner);
+  if (!inserted) {
+    return false;
+  }
+  disk_access_[executor].erase(id);
+  if (tc != nullptr) {
+    // The reading task holds this payload: pinned, its bytes stay on the
+    // arbiter ledger until the task ends.
+    if (bm.memory().Pin(id)) {
+      tc->RegisterPin(executor, id);
+    }
+  }
+  engine_->audit().Admit(static_cast<uint32_t>(executor), id.rdd_id, id.partition, size,
+                         /*to_disk=*/false, policy_->name(), reason, owner);
+  return true;
 }
 
 bool PolicyCoordinator::IsManaged(const RddBase& rdd) const {
@@ -286,6 +377,7 @@ void PolicyCoordinator::UnpersistRdd(const RddBase& rdd) {
     bm.CancelSpill(id);
     bm.RemoveFromMemory(id);
     bm.RemoveFromDisk(id);
+    disk_access_[executor].erase(id);
     if (resident) {
       engine_->audit().Unpersist(static_cast<uint32_t>(executor), id.rdd_id, id.partition,
                                  /*size_bytes=*/0, policy_->name(), "user_unpersist", owner);

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -48,6 +49,32 @@ class PolicyCoordinator : public CacheCoordinator {
   // fallback is charged to `tc`.
   bool EnsureSpace(size_t executor, uint64_t needed, RddId incoming_rdd, TaskContext& tc);
 
+  // The blocks an insert of `incoming_rdd` on behalf of `tenant` may evict:
+  // unpinned, of another dataset, and allowed by the tenant floor. Blocks
+  // several tenants reference go to `shared_hot` (offered last). Returns the
+  // bytes of both lists together.
+  uint64_t CollectCandidates(BlockManager& bm, RddId incoming_rdd, uint32_t tenant,
+                             std::vector<MemoryEntry>* candidates,
+                             std::vector<MemoryEntry>* shared_hot) const;
+
+  // The one promotion path into memory, shared by disk hits and MRD prefetch.
+  // Caller holds the executor lock and has checked that the block is on disk
+  // and not in memory; the disk copy is kept, so a later eviction costs no
+  // write. For a reading task (`tc` non-null) the policy's ShouldPromote gate
+  // decides, given `recency` (the block's previous access); the prefetcher
+  // (`tc` null) only fills free room. A block that fits in free room is
+  // inserted at `recency`; one that does not makes room through EnsureSpace
+  // and counts as accessed now. A task's promoted block stays pinned until
+  // the task ends. Returns true if the block was inserted.
+  bool PromoteLocked(size_t executor, const RddBase& rdd, const BlockId& id,
+                     const BlockPtr& block, uint64_t recency, TaskContext* tc,
+                     const char* reason);
+
+  // Multi-tenant charging: the dataset owner (first-toucher; a shared
+  // dataset is charged once), else `fallback`; kNoTenant outside
+  // multi-tenant mode.
+  uint32_t ChargedTenant(const RddBase& rdd, uint32_t fallback) const;
+
   // Runs one prefetch sweep (MRD); executed on the background prefetcher.
   void PrefetchSweep(DependencyDigest digest);
 
@@ -55,6 +82,12 @@ class PolicyCoordinator : public CacheCoordinator {
   std::unique_ptr<EvictionPolicy> policy_;
   EvictionMode mode_;
   std::vector<std::unique_ptr<std::mutex>> executor_mu_;
+  // Per executor, guarded by executor_mu_[e]: the memory-store clock value
+  // (MemoryStore::Tick) of the last access of every block that went to disk
+  // in MEM_AND_DISK mode — its last access in memory when evicted, the
+  // admission when written straight to disk, then every disk hit. The
+  // promotion gate compares it against the resident blocks' recency.
+  std::vector<std::unordered_map<BlockId, uint64_t, BlockIdHash>> disk_access_;
   mutable std::mutex digest_mu_;
   // One digest per engine, rebuilt on every OnJobStart. Under concurrent jobs
   // this is a race-free last-submitted-job approximation: policies see the

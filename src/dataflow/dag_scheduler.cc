@@ -418,18 +418,20 @@ void DagScheduler::RunStageTasks(const std::shared_ptr<internal::JobState>& job,
         BLAZE_CHECK_LT(attempt, engine.config().max_task_attempts)
             << "task " << p << " of stage " << plan.stage_index << " exhausted retries";
       }
-      TaskContext tc(&engine, job_id, plan.stage_index, p, executor, job->tenant);
-      Stopwatch task_watch;
-      // Consumers that read blocks representation-agnostically — bucketizers
-      // built on ForEachRow, raw-block actions — take the terminal in its
-      // cached form, so a columnar hit skips the row recomposition.
-      const bool keep_columnar = plan.shuffle_dep != nullptr
-                                     ? plan.shuffle_dep->accepts_columnar
-                                     : job->raw_blocks;
-      // Scoped so the task's block reference is gone before the completion
-      // countdown below: once the driver's Wait() returns, no task thread may
-      // still pin a block (an immediate Unpersist must release its arena).
+      // Scoped so the task's block reference and its pins (released by
+      // ~TaskContext) are gone before the completion countdown below: once the
+      // driver's Wait() returns, no task thread may still hold or pin a block
+      // (an immediate Unpersist must release its arena, an eviction must find
+      // it unpinned).
       {
+        TaskContext tc(&engine, job_id, plan.stage_index, p, executor, job->tenant);
+        Stopwatch task_watch;
+        // Consumers that read blocks representation-agnostically — bucketizers
+        // built on ForEachRow, raw-block actions — take the terminal in its
+        // cached form, so a columnar hit skips the row recomposition.
+        const bool keep_columnar = plan.shuffle_dep != nullptr
+                                       ? plan.shuffle_dep->accepts_columnar
+                                       : job->raw_blocks;
         const BlockPtr block = keep_columnar ? tc.GetColumnarForTask(terminal, p)
                                              : tc.GetBlock(terminal, p);
         if (plan.shuffle_dep != nullptr) {
@@ -445,11 +447,11 @@ void DagScheduler::RunStageTasks(const std::shared_ptr<internal::JobState>& job,
           // publishes the writes to the waiting driver.
           job->results[p] = job->process(block);
         }
+        const double wall_ms = task_watch.ElapsedMillis();
+        tc.metrics().compute_ms = wall_ms - tc.metrics().cache_disk_ms -
+                                  tc.metrics().ilp_wait_ms;
+        engine.metrics().AddTask(tc.metrics(), wall_ms, job_id);
       }
-      const double wall_ms = task_watch.ElapsedMillis();
-      tc.metrics().compute_ms = wall_ms - tc.metrics().cache_disk_ms -
-                                tc.metrics().ilp_wait_ms;
-      engine.metrics().AddTask(tc.metrics(), wall_ms, job_id);
       if (job->pending_tasks[stage_index].fetch_sub(1, std::memory_order_acq_rel) == 1) {
         // Last task of the stage: publish the shuffle (waking any parked
         // stages of concurrent jobs) and fire the completion event inline.

@@ -12,9 +12,7 @@
 namespace blaze {
 
 DiskStore::DiskStore(std::filesystem::path dir, uint64_t throughput_bytes_per_sec)
-    : dir_(std::move(dir)), throughput_(throughput_bytes_per_sec) {
-  std::filesystem::create_directories(dir_);
-}
+    : dir_(std::move(dir)), throughput_(throughput_bytes_per_sec) {}
 
 DiskStore::~DiskStore() {
   std::error_code ec;
@@ -38,6 +36,9 @@ void DiskStore::Throttle(uint64_t bytes, double actual_ms) const {
 }
 
 DiskOpResult DiskStore::Put(const BlockId& id, const std::vector<uint8_t>& encoded) {
+  // Created on first use: an engine that never writes a block never touches
+  // the filesystem.
+  std::call_once(dir_created_, [this] { std::filesystem::create_directories(dir_); });
   Stopwatch watch;
   {
     std::ofstream out(PathFor(id), std::ios::binary | std::ios::trunc);

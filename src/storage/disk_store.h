@@ -32,7 +32,7 @@ struct DiskOpResult {
 class DiskStore {
  public:
   // throughput_bytes_per_sec == 0 disables throttling. The directory is
-  // created (and wiped on destruction).
+  // created on the first Put (and wiped on destruction).
   DiskStore(std::filesystem::path dir, uint64_t throughput_bytes_per_sec);
   ~DiskStore();
 
@@ -71,6 +71,7 @@ class DiskStore {
   void Throttle(uint64_t bytes, double actual_ms) const;
 
   std::filesystem::path dir_;
+  std::once_flag dir_created_;
   uint64_t throughput_;
   mutable std::mutex mu_;
   std::unordered_map<BlockId, uint64_t, BlockIdHash> sizes_;

@@ -51,7 +51,7 @@ void MemoryStore::ReleaseBytes(uint64_t bytes, uint32_t tenant) {
 }
 
 bool MemoryStore::PutInternal(const BlockId& id, BlockPtr data, uint64_t size_bytes,
-                              bool fatal, uint32_t tenant) {
+                              bool fatal, uint32_t tenant, std::optional<uint64_t> recency) {
   Shard& shard = ShardFor(id);
   std::lock_guard<SpinLock> lock(shard.mu);
   auto it = shard.blocks.find(id);
@@ -85,7 +85,8 @@ bool MemoryStore::PutInternal(const BlockId& id, BlockPtr data, uint64_t size_by
       }
     }
   }
-  const uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const uint64_t seq = Tick();
+  const uint64_t access_seq = recency.value_or(seq);
   if (it != shard.blocks.end()) {
     // Replacement: new payload and insertion recency, preserved access stats
     // (and pins: a reader holding the old payload keeps its pin).
@@ -93,7 +94,7 @@ bool MemoryStore::PutInternal(const BlockId& id, BlockPtr data, uint64_t size_by
     entry.data = std::move(data);
     entry.size_bytes = size_bytes;
     entry.insert_seq = seq;
-    entry.last_access_seq = seq;
+    entry.last_access_seq = access_seq;
     entry.tenant = tenant;
     return true;
   }
@@ -102,7 +103,7 @@ bool MemoryStore::PutInternal(const BlockId& id, BlockPtr data, uint64_t size_by
   entry.data = std::move(data);
   entry.size_bytes = size_bytes;
   entry.insert_seq = seq;
-  entry.last_access_seq = seq;
+  entry.last_access_seq = access_seq;
   entry.tenant = tenant;
   shard.blocks.emplace(id, std::move(entry));
   return true;
@@ -120,13 +121,13 @@ void MemoryStore::Put(const BlockId& id, BlockPtr data, uint64_t size_bytes,
 }
 
 bool MemoryStore::TryPut(const BlockId& id, BlockPtr data, uint64_t size_bytes,
-                         uint32_t tenant) {
+                         uint32_t tenant, std::optional<uint64_t> recency) {
   if (offload_) {
     if (BlockPtr stub = offload_(id, data, size_bytes)) {
       data = std::move(stub);
     }
   }
-  return PutInternal(id, std::move(data), size_bytes, /*fatal=*/false, tenant);
+  return PutInternal(id, std::move(data), size_bytes, /*fatal=*/false, tenant, recency);
 }
 
 std::optional<BlockPtr> MemoryStore::Get(const BlockId& id) {
@@ -136,7 +137,7 @@ std::optional<BlockPtr> MemoryStore::Get(const BlockId& id) {
   if (it == shard.blocks.end()) {
     return std::nullopt;
   }
-  it->second.last_access_seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  it->second.last_access_seq = Tick();
   ++it->second.access_count;
   return it->second.data;
 }
@@ -148,10 +149,21 @@ std::optional<BlockPtr> MemoryStore::GetAndPin(const BlockId& id) {
   if (it == shard.blocks.end()) {
     return std::nullopt;
   }
-  it->second.last_access_seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  it->second.last_access_seq = Tick();
   ++it->second.access_count;
   ++it->second.pins;
   return it->second.data;
+}
+
+bool MemoryStore::Pin(const BlockId& id) {
+  Shard& shard = ShardFor(id);
+  std::lock_guard<SpinLock> lock(shard.mu);
+  auto it = shard.blocks.find(id);
+  if (it == shard.blocks.end()) {
+    return false;
+  }
+  ++it->second.pins;
+  return true;
 }
 
 void MemoryStore::Unpin(const BlockId& id) {

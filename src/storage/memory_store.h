@@ -82,9 +82,16 @@ class MemoryStore {
   // Like Put, but returns false instead of dying when the block does not fit
   // under the current bound. Coordinators use this: with the arbiter's bound
   // moving under shuffle pressure, an admission decided a moment ago can
-  // legitimately lose its headroom before the insert lands.
+  // legitimately lose its headroom before the insert lands. `recency` sets
+  // the entry's last_access_seq (a Tick() value from an earlier access);
+  // nullopt means "accessed now".
   bool TryPut(const BlockId& id, BlockPtr data, uint64_t size_bytes,
-              uint32_t tenant = kNoTenant);
+              uint32_t tenant = kNoTenant, std::optional<uint64_t> recency = std::nullopt);
+
+  // Advances the store's access clock and returns the new value: the same
+  // sequence last_access_seq is drawn from, so an access that happened
+  // outside the store (a disk hit) can be ranked against resident entries.
+  uint64_t Tick() { return seq_.fetch_add(1, std::memory_order_relaxed) + 1; }
 
   // Returns the block and bumps its access recency, or nullopt.
   std::optional<BlockPtr> Get(const BlockId& id);
@@ -93,6 +100,10 @@ class MemoryStore {
   // (RemoveIfUnpinned) until a matching Unpin. Callers must pair every
   // successful GetAndPin with exactly one Unpin.
   std::optional<BlockPtr> GetAndPin(const BlockId& id);
+
+  // Pins a resident block without touching its recency; false if absent.
+  // Pairs with one Unpin, like GetAndPin.
+  bool Pin(const BlockId& id);
 
   // Drops one pin; no-op if the block is gone (Remove ignores pins).
   void Unpin(const BlockId& id);
@@ -168,7 +179,7 @@ class MemoryStore {
 
   // Shared Put body; returns false when (fatal=false) the reservation fails.
   bool PutInternal(const BlockId& id, BlockPtr data, uint64_t size_bytes, bool fatal,
-                   uint32_t tenant);
+                   uint32_t tenant, std::optional<uint64_t> recency = std::nullopt);
 
   void ReleaseBytes(uint64_t bytes, uint32_t tenant);
 

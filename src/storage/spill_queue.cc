@@ -10,18 +10,24 @@
 namespace blaze {
 
 SpillQueue::SpillQueue(BlockManager* bm, size_t max_depth, RunMetrics* metrics)
-    : bm_(bm), metrics_(metrics), max_depth_(max_depth == 0 ? 1 : max_depth) {
-  worker_ = std::thread([this] { WorkerLoop(); });
-}
+    : bm_(bm), metrics_(metrics), max_depth_(max_depth == 0 ? 1 : max_depth) {}
 
 SpillQueue::~SpillQueue() {
+  std::thread worker;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
+    worker = std::move(worker_);
   }
   work_cv_.notify_all();
-  if (worker_.joinable()) {
-    worker_.join();
+  if (worker.joinable()) {
+    worker.join();
+  }
+}
+
+void SpillQueue::StartWorkerLocked() {
+  if (!worker_.joinable()) {
+    worker_ = std::thread([this] { WorkerLoop(); });
   }
 }
 
@@ -51,6 +57,7 @@ bool SpillQueue::EnqueueSpill(const BlockId& id, BlockPtr data) {
       }
       return false;
     }
+    StartWorkerLocked();
     pending_spill_bytes_ += data->SizeBytes();
     spills_.emplace(id, InFlight{std::move(data), SpillState::kQueued, false});
     queue_.push_back(WorkItem{/*is_fetch=*/false, id});
@@ -80,6 +87,7 @@ bool SpillQueue::EnqueueFetch(const BlockId& id, FetchCallback on_loaded) {
       }
       return false;
     }
+    StartWorkerLocked();
     fetches_[id].push_back(std::move(on_loaded));
     queue_.push_back(WorkItem{/*is_fetch=*/true, id});
     if (metrics_ != nullptr) {

@@ -27,6 +27,9 @@
 // The queue is bounded: a full queue rejects the enqueue and the caller
 // falls back to the synchronous spill (backpressure instead of unbounded
 // memory retention — every queued BlockPtr keeps its payload alive).
+//
+// The worker thread starts on the first enqueue, so an engine that never
+// touches its disk tier never spawns one.
 #ifndef SRC_STORAGE_SPILL_QUEUE_H_
 #define SRC_STORAGE_SPILL_QUEUE_H_
 
@@ -107,6 +110,9 @@ class SpillQueue {
     BlockId id;
   };
 
+  // Spawns the worker on the first enqueue (caller holds mu_): an engine
+  // that never spills or fetches never starts the thread.
+  void StartWorkerLocked();
   void WorkerLoop();
   void ProcessSpill(const BlockId& id);
   void ProcessFetch(const BlockId& id);
@@ -125,7 +131,7 @@ class SpillQueue {
   uint64_t pending_spill_bytes_ = 0;  // payload bytes in spills_ (queued + writing)
   bool stop_ = false;
 
-  std::thread worker_;
+  std::thread worker_;  // started lazily by StartWorkerLocked, under mu_
 };
 
 }  // namespace blaze

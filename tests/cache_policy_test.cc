@@ -6,7 +6,10 @@
 #include "src/common/units.h"
 
 #include <atomic>
+#include <chrono>
 #include <limits>
+#include <string>
+#include <thread>
 
 #include "src/cache/alluxio_coordinator.h"
 #include "src/cache/policies.h"
@@ -188,6 +191,59 @@ TEST(PolicyTest, FactoryKnowsAllNames) {
   }
 }
 
+// The promotion gate: a disk hit may displace only blocks the policy ranks
+// below it, and they must hold the bytes the promotion needs.
+TEST(PolicyTest, LruPromotesOnlyOverColderBlocks) {
+  LruPolicy policy;
+  const std::vector<MemoryEntry> resident{Entry(1, 0, 1, 10), Entry(2, 0, 2, 30)};
+  const MemoryEntry incoming = Entry(3, 0, 0, 20);
+  EXPECT_TRUE(policy.ShouldPromote(incoming, resident, 100, {}));
+  EXPECT_FALSE(policy.ShouldPromote(incoming, resident, 101, {}));  // only block 1 is colder
+  EXPECT_FALSE(policy.ShouldPromote(Entry(3, 0, 0, 5), resident, 1, {}));
+  // Free room still needs one colder block, unless nothing is resident.
+  EXPECT_TRUE(policy.ShouldPromote(incoming, resident, 0, {}));
+  EXPECT_FALSE(policy.ShouldPromote(Entry(3, 0, 0, 5), resident, 0, {}));
+  EXPECT_TRUE(policy.ShouldPromote(Entry(3, 0, 0, 5), {}, 0, {}));
+}
+
+TEST(PolicyTest, LrcPromotesByReferenceCount) {
+  LrcPolicy policy;
+  DependencyDigest digest;
+  digest.ref_count[1] = 1;
+  digest.ref_count[2] = 3;
+  digest.ref_count[3] = 2;
+  const std::vector<MemoryEntry> resident{Entry(1, 0, 1, 90), Entry(2, 0, 2, 95)};
+  // Referenced more often than dataset 1, though last used long before it.
+  EXPECT_TRUE(policy.ShouldPromote(Entry(3, 0, 0, 5), resident, 100, digest));
+  EXPECT_FALSE(policy.ShouldPromote(Entry(3, 0, 0, 5), resident, 200, digest));
+  // Unreferenced by the job: never displaces anything, however recent.
+  EXPECT_FALSE(policy.ShouldPromote(Entry(4, 0, 0, 99), resident, 1, digest));
+  // Equal counts fall back to recency, the victim order's tie-break.
+  EXPECT_TRUE(policy.ShouldPromote(Entry(5, 0, 0, 91), {Entry(1, 0, 1, 90)}, 1, [] {
+    DependencyDigest d;
+    d.ref_count[1] = 1;
+    d.ref_count[5] = 1;
+    return d;
+  }()));
+}
+
+TEST(PolicyTest, MrdPromotesByReferenceDistance) {
+  MrdPolicy policy;
+  DependencyDigest digest;
+  digest.current_stage = 2;
+  digest.next_use_stage[1] = 6;  // distance 4
+  digest.next_use_stage[2] = 3;  // distance 1
+  digest.next_use_stage[3] = 2;  // distance 0: read right now
+  const std::vector<MemoryEntry> resident{Entry(1, 0, 1, 90), Entry(2, 0, 2, 95)};
+  EXPECT_TRUE(policy.ShouldPromote(Entry(3, 0, 0, 5), resident, 200, digest));
+  // Dataset 4 is not referenced again in this job: infinitely far.
+  EXPECT_FALSE(policy.ShouldPromote(Entry(4, 0, 0, 99), resident, 1, digest));
+  // Distance 1 beats dataset 1 (distance 4) but not dataset 2 (distance 1, newer).
+  digest.next_use_stage[5] = 3;
+  EXPECT_TRUE(policy.ShouldPromote(Entry(5, 0, 0, 5), resident, 100, digest));
+  EXPECT_FALSE(policy.ShouldPromote(Entry(5, 0, 0, 5), resident, 101, digest));
+}
+
 // --- coordinator behaviour ------------------------------------------------------------
 
 EngineConfig TinyConfig(uint64_t capacity) {
@@ -361,6 +417,163 @@ TEST(PolicyCoordinatorTest, InfeasibleAdmissionEvictsNothing) {
     }
   }
   EXPECT_TRUE(saw_disk_admit);
+}
+
+// --- two-tier reads (disk-hit promotion) ------------------------------------------
+
+size_t CountAuditAdmits(EngineContext& engine, const char* reason) {
+  size_t n = 0;
+  for (const AuditRecord& record : engine.audit().Snapshot()) {
+    if (record.kind == AuditKind::kAdmit && std::string(record.reason) == reason) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+RddPtr<int> CachedInts(EngineContext& engine, const std::string& name, uint32_t parts,
+                       size_t rows) {
+  auto rdd = Generate<int>(&engine, name, parts, [rows](uint32_t p) {
+    return std::vector<int>(rows, static_cast<int>(p));
+  });
+  rdd->Cache();
+  return rdd;
+}
+
+// A block re-read soon after its last disk hit is hotter than blocks that sat
+// idle meanwhile: the second disk hit promotes it over them. Its disk copy is
+// kept, so evicting it again later writes nothing.
+TEST(PolicyCoordinatorTest, HotBlockPromotedOnSecondDiskHitEvictsForFree) {
+  EngineConfig config = TinyConfig(KiB(52));
+  config.sync_spill = true;  // every disk write lands on the task's metrics
+  EngineContext engine(config);
+  engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
+                                                            EvictionMode::kMemAndDisk));
+  BlockManager& bm = engine.block_manager(0);
+  auto hot = CachedInts(engine, "hot", 1, 3000);        // ~12 KB
+  auto filler = CachedInts(engine, "filler", 2, 4000);  // 2 x ~16 KB
+  auto warm = CachedInts(engine, "warm", 1, 4000);      // ~16 KB
+  const BlockId hot_id{hot->id(), 0};
+  hot->Count();
+  filler->Count();
+  warm->Count();  // evicts `hot`, the least recently used, to disk
+  ASSERT_FALSE(bm.memory().Contains(hot_id));
+  ASSERT_TRUE(bm.disk().Contains(hot_id));
+  for (int i = 0; i < 10; ++i) {
+    warm->Count();  // `filler` sits idle
+  }
+  hot->Count();  // first disk hit: `hot` was colder than everything resident
+  EXPECT_FALSE(bm.memory().Contains(hot_id));
+  EXPECT_EQ(CountAuditAdmits(engine, "disk_hit_promote"), 0u);
+  hot->Count();  // second disk hit, right after the first: promoted
+  EXPECT_TRUE(bm.memory().Contains(hot_id));
+  EXPECT_EQ(CountAuditAdmits(engine, "disk_hit_promote"), 1u);
+  EXPECT_EQ(bm.memory().PinCount(hot_id), 0);  // the reading task has ended
+
+  // Touch everything else, then admit a block that needs exactly the room
+  // `hot` holds: `hot` is the victim, and its disk copy makes that free.
+  filler->Count();
+  warm->Count();
+  const uint64_t written_before =
+      engine.metrics().Snapshot().total_task.cache_disk_bytes_written;
+  const uint64_t disk_before = bm.disk().used_bytes();
+  auto pusher = CachedInts(engine, "pusher", 1, 3000);
+  pusher->Count();
+  EXPECT_FALSE(bm.memory().Contains(hot_id));
+  EXPECT_TRUE(bm.memory().Contains(BlockId{pusher->id(), 0}));
+  EXPECT_EQ(engine.metrics().Snapshot().total_task.cache_disk_bytes_written, written_before);
+  EXPECT_EQ(bm.disk().used_bytes(), disk_before);
+  EXPECT_EQ(hot->Count(), 3000u);  // still served from the kept disk copy
+}
+
+// A cyclic scan longer than the cache re-reads each block only once per
+// pass, after everything resident was used more recently: no disk hit may
+// displace anything (the pattern that makes promote-every-hit churn).
+TEST(PolicyCoordinatorTest, CyclicScanMakesNoEvictingPromotion) {
+  EngineContext engine(TinyConfig(KiB(64)));
+  engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
+                                                            EvictionMode::kMemAndDisk));
+  auto first = CachedInts(engine, "scan_a", 4, 4000);   // 4 x ~16 KB: the whole cache
+  auto second = CachedInts(engine, "scan_b", 4, 4000);
+  for (int pass = 0; pass < 4; ++pass) {
+    EXPECT_EQ(first->Count(), 4u * 4000u);
+    EXPECT_EQ(second->Count(), 4u * 4000u);
+    engine.DrainAllSpills();
+  }
+  const auto snap = engine.metrics().Snapshot();
+  ASSERT_GT(snap.cache_hits_disk, 0u);
+  // A promotion that had to make room is audited right after its evictions
+  // (one executor thread: decisions are strictly sequential).
+  const std::vector<AuditRecord> records = engine.audit().Snapshot();
+  size_t evicting_promotions = 0;
+  for (size_t i = 1; i < records.size(); ++i) {
+    if (records[i].kind == AuditKind::kAdmit &&
+        std::string(records[i].reason) == "disk_hit_promote" &&
+        records[i - 1].kind == AuditKind::kEvict) {
+      ++evicting_promotions;
+    }
+  }
+  EXPECT_EQ(evicting_promotions, 0u);
+}
+
+// Puts `rdd`'s single block on disk and leaves memory empty, so its next
+// disk hit is promoted into free room.
+void LeaveOnlyOnDisk(EngineContext& engine, const RddPtr<int>& rdd) {
+  rdd->Count();
+  auto displacer = CachedInts(engine, "displacer", 1, 4000);
+  displacer->Count();  // evicts `rdd` to disk
+  engine.DrainAllSpills();
+  displacer->Unpersist();
+  ASSERT_FALSE(engine.block_manager(0).memory().Contains(BlockId{rdd->id(), 0}));
+  ASSERT_TRUE(engine.block_manager(0).disk().Contains(BlockId{rdd->id(), 0}));
+  ASSERT_EQ(engine.TotalMemoryUsed(), 0u);
+}
+
+// An unpersist landing while a task reads the block from disk must win: the
+// promotion re-checks residency under the executor lock, so the block does
+// not come back to memory (or disk) after the user dropped it.
+TEST(PolicyCoordinatorTest, UnpersistRacingPromotionLeavesNothing) {
+  for (int attempt = 0; attempt < 6; ++attempt) {
+    // A 12 KB block takes ~90 ms to read from this disk.
+    EngineContext engine(SlowDiskConfig(KiB(24)));
+    engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
+                                                              EvictionMode::kMemAndDisk));
+    auto rdd = CachedInts(engine, "raced", 1, 3000);
+    LeaveOnlyOnDisk(engine, rdd);
+    std::thread reader([&] { EXPECT_EQ(rdd->Count(), 3000u); });
+    // Spread the unpersist across the read: before, during and after it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20 * attempt));
+    rdd->Unpersist();
+    reader.join();
+    engine.DrainAllSpills();
+    EXPECT_EQ(engine.TotalMemoryUsed(), 0u) << "attempt " << attempt;
+    EXPECT_EQ(engine.block_manager(0).disk().used_bytes(), 0u) << "attempt " << attempt;
+  }
+}
+
+// The reading task holds the promoted payload, so the block stays pinned
+// (and charged to the arbiter) until the task ends.
+TEST(PolicyCoordinatorTest, PromotedBlockStaysPinnedUntilTaskEnds) {
+  EngineContext engine(TinyConfig(KiB(24)));
+  engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
+                                                            EvictionMode::kMemAndDisk));
+  auto rdd = CachedInts(engine, "pinned", 1, 3000);
+  LeaveOnlyOnDisk(engine, rdd);
+  const BlockId id{rdd->id(), 0};
+  MemoryStore& memory = engine.block_manager(0).memory();
+  auto pins_seen = std::make_shared<std::atomic<int>>(-1);
+  auto probe = rdd->Map([pins_seen, &memory, id](const int& v) {
+    if (pins_seen->load() < 0) {
+      pins_seen->store(memory.PinCount(id));
+    }
+    return v;
+  });
+  EXPECT_EQ(probe->Count(), 3000u);
+  EXPECT_EQ(CountAuditAdmits(engine, "disk_hit_promote"), 1u);
+  EXPECT_EQ(pins_seen->load(), 1);
+  EXPECT_TRUE(memory.Contains(id));
+  EXPECT_EQ(memory.PinCount(id), 0);
+  EXPECT_EQ(memory.PinnedBlocks(), 0u);
 }
 
 TEST(AlluxioCoordinatorTest, ServesSerializedHitsAndCountsDeserTime) {

@@ -224,6 +224,26 @@ TEST_F(SpillPipelineTest, DestructorDrainsPendingSpills) {
   EXPECT_EQ(metrics.Snapshot().async_spills, 1u);
 }
 
+// A block manager that never touches its disk tier creates no directory and
+// starts no spill worker: drain and teardown cope with the idle queue, and
+// the first write brings both up.
+TEST_F(SpillPipelineTest, DiskTierStartsOnFirstWrite) {
+  RunMetrics metrics(1);
+  {
+    BlockManager idle(0, Config(), &metrics);
+    idle.DrainSpills();
+    EXPECT_EQ(idle.SpillQueueDepth(), 0u);
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir_));
+  BlockManager bm(0, Config(), &metrics);
+  EXPECT_FALSE(std::filesystem::exists(dir_));
+  const BlockId id{3, 0};
+  ASSERT_TRUE(bm.SpillAsync(id, IntBlock(5, 100)));
+  bm.DrainSpills();
+  EXPECT_TRUE(std::filesystem::exists(dir_));
+  EXPECT_TRUE(bm.disk().Contains(id));
+}
+
 // --- pinned-block lifecycle --------------------------------------------------------
 
 TEST(BlockPinTest, PinnedBlockRefusesEviction) {

@@ -128,6 +128,47 @@ TEST(TenantTest, EvictionFloorProtectsWithinShareBlocks) {
   EXPECT_GT(stats.cache_hits, 0u);
 }
 
+// Disk-hit promotion goes through the same eviction floor as admission: a
+// tenant re-reading its own spilled blocks may displace its own data, never
+// another tenant's within-share blocks, however long those sat idle.
+TEST(TenantTest, PromotionCannotTakeAnotherTenantsShare) {
+  EngineContext engine(TenantConfig(KiB(96), {Spec("quiet", 0.5), Spec("churn", 0.5)}));
+  engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
+                                                            EvictionMode::kMemAndDisk));
+  const TenantId quiet = *engine.tenants()->FindByName("quiet");
+  const TenantId churn = *engine.tenants()->FindByName("churn");
+  BlockManager& bm = engine.block_manager(0);
+
+  std::atomic<int> quiet_generations{0};
+  auto hot = CachedInts(engine, "quiet_hot", 3, &quiet_generations);  // ~24 KiB
+  ASSERT_EQ(CountAs(engine, quiet, hot), 3u * 2000u);
+  const uint64_t quiet_used = bm.arbiter().TenantCacheUsed(quiet);
+  // Three ~32 KiB churn datasets: the third pushes the first to disk, past the
+  // quiet tenant's untouchable blocks.
+  std::vector<RddPtr<int>> churn_data;
+  for (int d = 0; d < 3; ++d) {
+    churn_data.push_back(CachedInts(engine, "churn_" + std::to_string(d), 4));
+    ASSERT_EQ(CountAs(engine, churn, churn_data.back()), 4u * 2000u);
+  }
+  engine.DrainAllSpills();
+  ASSERT_GT(bm.disk().num_blocks(), 0u);
+  // Re-reading the spilled dataset twice, with the churn tenant's other data
+  // touched in between, makes its disk blocks hotter than the idle quiet
+  // blocks but colder than anything the churn tenant may evict: without the
+  // floor, the second read would promote them over the quiet tenant's.
+  ASSERT_EQ(CountAs(engine, churn, churn_data[0]), 4u * 2000u);
+  ASSERT_EQ(CountAs(engine, churn, churn_data[1]), 4u * 2000u);
+  ASSERT_EQ(CountAs(engine, churn, churn_data[2]), 4u * 2000u);
+  ASSERT_EQ(CountAs(engine, churn, churn_data[0]), 4u * 2000u);
+
+  for (uint32_t p = 0; p < 3; ++p) {
+    EXPECT_TRUE(bm.memory().Contains(BlockId{hot->id(), p}));
+  }
+  EXPECT_EQ(bm.arbiter().TenantCacheUsed(quiet), quiet_used);
+  EXPECT_EQ(CountAs(engine, quiet, hot), 3u * 2000u);
+  EXPECT_EQ(quiet_generations.load(), 3);
+}
+
 // Shares are floors, not caps: a lone tenant may cache past its share into
 // idle capacity, and loses exactly that borrowed portion when the other
 // tenant shows up.

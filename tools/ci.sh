@@ -251,14 +251,16 @@ if [[ "$mode" == "asan" || "$mode" == "all" ]]; then
   # are freed without destructors and handed out as raw spans, so
   # use-after-release and chunk overruns are the failure modes to hunt. The
   # spill-pressure smoke then drives arena-backed blocks through eviction,
-  # the async spill queue, and disk round trips end to end.
+  # the async spill queue, and disk round trips end to end. cache_policy
+  # rides along: disk-hit promotion keeps blocks decoded on the task path
+  # (arena-backed columnar pairs) resident after the reading task ends.
   echo "=== [asan] configure+build ==="
   cmake -B build-asan -S . -DBLAZE_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j "$jobs"
   echo "=== [asan] ctest (storage/columnar subset) ==="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-      -R 'columnar_arena|storage|spill_pipeline|memory_arbiter|serialize|dataflow|fusion|vectorized'
+      -R 'columnar_arena|storage|spill_pipeline|memory_arbiter|serialize|dataflow|fusion|vectorized|cache_policy'
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" spill_smoke build-asan
 fi
 

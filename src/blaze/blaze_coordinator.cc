@@ -418,18 +418,6 @@ void BlazeCoordinator::UnpersistRdd(const RddBase& rdd) {
   }
 }
 
-void BlazeCoordinator::OnBlocksLost(const std::vector<BlockId>& ids) {
-  // Called from the worker-monitor thread after a process death. The engine
-  // has already dropped the stale stubs from the executor stores; here only
-  // the plan/lineage state needs to agree that the partitions are gone.
-  // CostLineage::SetState is internally synchronized, and desired_ keeps its
-  // planned states — the next admission re-applies them to the recomputed
-  // blocks.
-  for (const BlockId& id : ids) {
-    lineage_.SetState(id.rdd_id, id.partition, PartitionState::kNone);
-  }
-}
-
 void BlazeCoordinator::AutoUnpersist() {
   const int now = lineage_.current_job();
   for (size_t e = 0; e < engine_->num_executors(); ++e) {

@@ -61,9 +61,6 @@ class BlazeCoordinator : public CacheCoordinator {
   // user annotation otherwise), so anything Blaze might cache materializes.
   bool IsCacheCandidate(const RddBase& rdd) const override;
   void UnpersistRdd(const RddBase& rdd) override;
-  // Distributed mode: worker-resident payloads died with their process.
-  // Marks the partitions non-resident so lookups miss and lineage recomputes.
-  void OnBlocksLost(const std::vector<BlockId>& ids) override;
 
   CostLineage& lineage() { return lineage_; }
   const BlazeOptions& options() const { return options_; }

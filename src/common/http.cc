@@ -51,9 +51,8 @@ bool HttpServer::Start(uint16_t port, Handler handler) {
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  // A fixed port may still be in TIME_WAIT from a just-restarted process (or
-  // a sibling in distributed mode): retry EADDRINUSE with backoff instead of
-  // failing telemetry outright. Kernel-assigned ports (port==0) never clash.
+  // A fixed port may still be in TIME_WAIT from a just-restarted process:
+  // retry EADDRINUSE with backoff instead of failing telemetry outright. Kernel-assigned ports (port==0) never clash.
   int backoff_ms = 10;
   int rc = ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   while (rc != 0 && errno == EADDRINUSE && port != 0 && backoff_ms <= 500) {

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "src/dataflow/events.h"
 #include "src/dataflow/rdd_base.h"
@@ -77,11 +76,6 @@ class CacheCoordinator {
   // User annotation path: drop every partition of `rdd` from every tier.
   virtual void UnpersistRdd(const RddBase& rdd) = 0;
 
-  // Distributed mode: the payloads of these blocks vanished with a dead
-  // worker process. The coordinator must mark them non-resident in its
-  // lineage/plan state so the next access recomputes instead of trusting a
-  // stale residency record. Called from the worker-monitor thread.
-  virtual void OnBlocksLost(const std::vector<BlockId>& ids) { (void)ids; }
 };
 
 }  // namespace blaze

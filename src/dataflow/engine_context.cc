@@ -7,12 +7,9 @@
 
 #include "src/common/block_arena.h"
 #include "src/common/logging.h"
-#include "src/common/stopwatch.h"
 #include "src/dataflow/dag_scheduler.h"
 #include "src/metrics/exporter.h"
 #include "src/metrics/registry.h"
-#include "src/net/remote_executor.h"
-#include "src/storage/remote_block.h"
 
 namespace blaze {
 
@@ -85,21 +82,6 @@ EngineContext::EngineContext(const EngineConfig& config)
     }
   }
   scheduler_ = std::make_unique<DagScheduler>(this);
-
-  // Distributed mode: explicit config, or forced via BLAZE_WORKERS=N (lets
-  // any existing binary run coordinator/worker without a code change).
-  bool distributed = config_.distributed;
-  size_t num_workers = config_.num_workers;
-  if (const char* env = std::getenv("BLAZE_WORKERS")) {
-    const int n = std::atoi(env);
-    if (n > 0) {
-      distributed = true;
-      num_workers = static_cast<size_t>(n);
-    }
-  }
-  if (distributed) {
-    StartDistributed(num_workers);
-  }
 
   // Live-state gauges: each callback reads atomics its subsystem already
   // maintains, so the subsystems pay nothing per operation — the exporter (or
@@ -208,55 +190,6 @@ EngineContext::EngineContext(const EngineConfig& config)
       });
     }
   }
-  if (remote_ != nullptr) {
-    // Wire-plane counters plus one gauge set per worker process, fed by each
-    // worker's heartbeat-ack stats — `blazectl top` renders these as the
-    // per-worker table.
-    const auto counter = [&](const char* name, const std::atomic<uint64_t>* v) {
-      gauge(name, [v] { return static_cast<int64_t>(v->load()); });
-    };
-    const auto& net_counters = remote_->counters();
-    counter("net.block_puts", &net_counters.block_puts);
-    counter("net.block_put_bytes", &net_counters.block_put_bytes);
-    counter("net.block_fetches", &net_counters.block_fetches);
-    counter("net.block_fetch_bytes", &net_counters.block_fetch_bytes);
-    counter("net.bucket_puts", &net_counters.bucket_puts);
-    counter("net.bucket_fetches", &net_counters.bucket_fetches);
-    counter("net.tasks_launched", &net_counters.tasks_launched);
-    counter("net.rpc_retries", &net_counters.rpc_retries);
-    counter("net.rpc_failures", &net_counters.rpc_failures);
-    counter("net.workers_lost", &net_counters.workers_lost);
-    counter("net.worker_restarts", &net_counters.worker_restarts);
-    for (size_t slot = 0; slot < remote_->num_workers(); ++slot) {
-      const std::string prefix = "worker." + std::to_string(slot) + ".";
-      gauge(prefix + "alive",
-            [this, slot] { return remote_->WorkerAlive(slot) ? 1 : 0; });
-      gauge(prefix + "live_bytes", [this, slot] {
-        return static_cast<int64_t>(remote_->LastStats(slot).live_bytes);
-      });
-      gauge(prefix + "disk_bytes", [this, slot] {
-        return static_cast<int64_t>(remote_->LastStats(slot).disk_bytes);
-      });
-      gauge(prefix + "blocks", [this, slot] {
-        return static_cast<int64_t>(remote_->LastStats(slot).block_count);
-      });
-      gauge(prefix + "buckets", [this, slot] {
-        return static_cast<int64_t>(remote_->LastStats(slot).bucket_count);
-      });
-      gauge(prefix + "pinned_blocks", [this, slot] {
-        return static_cast<int64_t>(remote_->LastStats(slot).pinned_blocks);
-      });
-      gauge(prefix + "inflight_tasks", [this, slot] {
-        return static_cast<int64_t>(remote_->LastStats(slot).inflight_tasks);
-      });
-      gauge(prefix + "tasks_executed", [this, slot] {
-        return static_cast<int64_t>(remote_->LastStats(slot).tasks_executed);
-      });
-      gauge(prefix + "heartbeat_age_ms", [this, slot] {
-        return static_cast<int64_t>(remote_->HeartbeatAgeMs(slot));
-      });
-    }
-  }
 
   // Telemetry endpoints: off unless configured (or forced by env, which lets
   // any existing binary expose /metrics without a code change).
@@ -291,14 +224,6 @@ EngineContext::~EngineContext() {
   // Async fetch callbacks reference the coordinator; they must all have fired
   // before the coordinator dies.
   DrainAllSpills();
-  // Distributed teardown: stop the monitor first (OnWorkerLost must never
-  // fire into a half-destroyed engine), and flag teardown so the stub
-  // destructors below skip their per-block release RPCs — the whole fleet is
-  // going away with every payload in it.
-  if (remote_ != nullptr) {
-    remote_->BeginTeardown();
-    remote_->Shutdown();
-  }
   coordinator_.reset();
   // Shuffle buckets still hold arbiter charges; the arbiters die with the
   // executors below, so cut the ledger hookup first.
@@ -329,234 +254,6 @@ void EngineContext::SyncArbiterMetrics() {
     overflow += executor->block_manager.arbiter().execution_overflow_events();
   }
   metrics_.RecordShuffleOverflow(overflow);
-}
-
-size_t EngineContext::WorkerSlotFor(size_t executor) const {
-  return remote_ == nullptr ? 0 : executor % remote_->num_workers();
-}
-
-void EngineContext::StartDistributed(size_t num_workers) {
-  net::RemoteExecutorConfig rc;
-  rc.num_workers = num_workers == 0 ? executors_.size() : num_workers;
-  rc.worker_memory_bytes = config_.worker_memory_bytes == 0
-                               ? config_.memory_capacity_per_executor
-                               : config_.worker_memory_bytes;
-  rc.disk_throughput_bytes_per_sec = config_.disk_throughput_bytes_per_sec;
-  rc.shuffle_memory_fraction = config_.shuffle_memory_fraction;
-  rc.worker_binary = config_.worker_binary;
-  rc.heartbeat_interval_ms = config_.heartbeat_interval_ms;
-  rc.heartbeat_miss_limit = config_.heartbeat_miss_limit;
-  remote_ = std::make_shared<net::RemoteExecutorSet>(rc);
-  remote_->set_on_worker_lost([this](size_t slot) { OnWorkerLost(slot); });
-  std::string error;
-  BLAZE_CHECK(remote_->Start(&error))
-      << "distributed mode failed to start: " << error;
-  BLAZE_LOG(kInfo) << "distributed mode: " << rc.num_workers
-                   << " worker process(es) up";
-
-  // Hook the data plane. The closures capture the shared_ptr so a stub that
-  // outlives an engine-teardown phase still has a live (if torn-down) fleet
-  // object to talk to.
-  auto remote = remote_;
-  for (size_t e = 0; e < executors_.size(); ++e) {
-    const size_t slot = WorkerSlotFor(e);
-    BlockManager& bm = executors_[e]->block_manager;
-    bm.memory().set_offload_hook(
-        [this, slot](const BlockId& id, const BlockPtr& block, uint64_t logical_bytes) {
-          return OffloadBlock(slot, id, block, logical_bytes);
-        });
-    bm.set_remote_hooks(
-        [this, remote, slot](const BlockId& id,
-                             double* ms) -> std::optional<std::vector<uint8_t>> {
-          // Local disk miss: only worth a round-trip if the block was demoted
-          // inside this slot's worker (ordinary cold misses stay wire-free).
-          {
-            std::lock_guard<std::mutex> lock(remote_disk_mu_);
-            auto it = remote_disk_.find(id);
-            if (it == remote_disk_.end() || it->second != slot) {
-              return std::nullopt;
-            }
-          }
-          Stopwatch watch;
-          std::vector<uint8_t> payload;
-          if (!remote->GetBlock(slot, id, &payload)) {
-            return std::nullopt;
-          }
-          if (ms != nullptr) {
-            *ms = watch.ElapsedMillis();
-          }
-          return payload;
-        },
-        [this, remote, slot](const BlockId& id) {
-          {
-            std::lock_guard<std::mutex> lock(remote_disk_mu_);
-            if (remote_disk_.erase(id) == 0) {
-              return;  // nothing of this block on the worker's disk
-            }
-          }
-          remote->ReleaseBlock(slot, id, /*incarnation=*/0,
-                               /*include_memory=*/false, /*include_disk=*/true);
-        });
-  }
-  shuffle_.SetRemoteBucketHook(
-      [this](int shuffle_id, uint32_t map_part, uint32_t reduce_part,
-             const BlockPtr& bucket) {
-        return OffloadBucket(shuffle_id, map_part, reduce_part, bucket);
-      });
-}
-
-BlockPtr EngineContext::OffloadBlock(size_t slot, const BlockId& id,
-                                     const BlockPtr& block, uint64_t logical_bytes) {
-  // The Alluxio-style raw-byte tier (kEncoded) models an external store and
-  // stays local; stubs are never re-offloaded.
-  if (block->representation() == BlockRepresentation::kEncoded ||
-      dynamic_cast<const RemoteBlockStub*>(block.get()) != nullptr) {
-    return nullptr;
-  }
-  ByteSink sink;
-  block->EncodeTo(sink);
-  const uint64_t incarnation = remote_->NextIncarnation();
-  const size_t rows = block->NumRows();
-  const BlockRepresentation rep = block->representation();
-  if (!remote_->PutBlock(slot, id, incarnation, logical_bytes, sink.TakeData())) {
-    return nullptr;  // worker unreachable: keep the block local (degraded mode)
-  }
-  {
-    // A fresh incarnation supersedes whatever earlier demotion left on the
-    // worker's disk (the worker clears its disk copy on put).
-    std::lock_guard<std::mutex> lock(remote_disk_mu_);
-    remote_disk_.erase(id);
-  }
-  auto remote = remote_;
-  return std::make_shared<RemoteBlockStub>(
-      id, slot, incarnation, logical_bytes, rows, rep,
-      /*fetch=*/
-      [remote, slot, id](double* ms) -> std::optional<std::vector<uint8_t>> {
-        Stopwatch watch;
-        std::vector<uint8_t> payload;
-        if (!remote->GetBlock(slot, id, &payload)) {
-          return std::nullopt;
-        }
-        if (ms != nullptr) {
-          *ms = watch.ElapsedMillis();
-        }
-        return payload;
-      },
-      /*demote=*/
-      [this, remote, slot, id]() {
-        ByteSink args;
-        args.WritePod<uint32_t>(id.rdd_id);
-        args.WritePod<uint32_t>(id.partition);
-        net::TaskResultMsg result;
-        if (!remote->RunTask(slot, "demote_block", args.TakeData(), &result) ||
-            !result.ok) {
-          return false;
-        }
-        std::lock_guard<std::mutex> lock(remote_disk_mu_);
-        remote_disk_[id] = slot;
-        return true;
-      },
-      /*release=*/
-      [remote, slot, id, incarnation]() {
-        remote->ReleaseBlock(slot, id, incarnation, /*include_memory=*/true,
-                             /*include_disk=*/false);
-      });
-}
-
-BlockPtr EngineContext::OffloadBucket(int shuffle_id, uint32_t map_part,
-                                      uint32_t reduce_part, const BlockPtr& bucket) {
-  const size_t slot = WorkerSlotFor(ExecutorFor(map_part));
-  ByteSink sink;
-  bucket->EncodeTo(sink);
-  const uint64_t incarnation = remote_->NextIncarnation();
-  if (!remote_->PutBucket(slot, shuffle_id, map_part, reduce_part, incarnation,
-                          sink.TakeData())) {
-    return nullptr;  // keep the bucket local
-  }
-  auto remote = remote_;
-  // The stub's BlockId is only a diagnostic label; buckets are addressed by
-  // (shuffle, map, reduce) on the wire.
-  const BlockId label{static_cast<uint32_t>(shuffle_id), reduce_part};
-  return std::make_shared<RemoteBlockStub>(
-      label, slot, incarnation, bucket->SizeBytes(), bucket->NumRows(),
-      bucket->representation(),
-      /*fetch=*/
-      [remote, slot, shuffle_id, map_part,
-       reduce_part](double* ms) -> std::optional<std::vector<uint8_t>> {
-        Stopwatch watch;
-        std::vector<uint8_t> payload;
-        if (!remote->FetchBucket(slot, shuffle_id, map_part, reduce_part, &payload)) {
-          return std::nullopt;
-        }
-        if (ms != nullptr) {
-          *ms = watch.ElapsedMillis();
-        }
-        return payload;
-      },
-      /*demote=*/nullptr,  // buckets never take the spill path
-      /*release=*/
-      [remote, slot, shuffle_id, map_part, reduce_part, incarnation]() {
-        remote->ReleaseBucket(slot, shuffle_id, map_part, reduce_part, incarnation);
-      });
-}
-
-void EngineContext::OnWorkerLost(size_t slot) {
-  // Monitor-thread callback: every payload the slot held is gone. Drop the
-  // stubs (their releases fail fast against the marked-down client), collect
-  // the ids, and hand them to the coordinator so lineage marks them
-  // non-resident; reduce-side bucket losses rebuild lazily through
-  // ReadOrRebuildShuffleBuckets.
-  std::vector<BlockId> lost;
-  for (size_t e = 0; e < executors_.size(); ++e) {
-    if (WorkerSlotFor(e) != slot) {
-      continue;
-    }
-    BlockManager& bm = executors_[e]->block_manager;
-    for (const MemoryEntry& entry : bm.memory().Entries()) {
-      const auto* stub = dynamic_cast<const RemoteBlockStub*>(entry.data.get());
-      if (stub != nullptr && stub->slot() == slot) {
-        bm.CancelSpill(entry.id);
-        bm.memory().Remove(entry.id);
-        lost.push_back(entry.id);
-      }
-    }
-  }
-  {
-    // Blocks demoted onto the dead worker's disk have no stub anywhere —
-    // their lineage state says "disk" and must be invalidated here too.
-    std::lock_guard<std::mutex> lock(remote_disk_mu_);
-    for (auto it = remote_disk_.begin(); it != remote_disk_.end();) {
-      if (it->second == slot) {
-        lost.push_back(it->first);
-        it = remote_disk_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  if (!lost.empty()) {
-    coordinator_->OnBlocksLost(lost);
-  }
-  const size_t buckets_dropped = shuffle_.DropExecutorBuckets(slot);
-  BLAZE_LOG(kWarn) << "worker slot " << slot << " lost: invalidated "
-                   << lost.size() << " block(s), dropped " << buckets_dropped
-                   << " shuffle bucket(s); lineage will recompute";
-}
-
-void EngineContext::OnRemoteBlockLost(const BlockId& id, size_t slot) {
-  for (size_t e = 0; e < executors_.size(); ++e) {
-    if (WorkerSlotFor(e) != slot) {
-      continue;
-    }
-    BlockManager& bm = executors_[e]->block_manager;
-    bm.CancelSpill(id);
-    bm.memory().Remove(id);
-  }
-  {
-    std::lock_guard<std::mutex> lock(remote_disk_mu_);
-    remote_disk_.erase(id);
-  }
-  coordinator_->OnBlocksLost({id});
 }
 
 void EngineContext::RegisterRdd(const std::shared_ptr<RddBase>& rdd) {

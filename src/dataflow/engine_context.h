@@ -31,10 +31,6 @@ class DagScheduler;
 class JobHandle;
 class MetricsExporter;
 
-namespace net {
-class RemoteExecutorSet;
-}  // namespace net
-
 struct EngineConfig {
   size_t num_executors = 4;
   size_t threads_per_executor = 2;
@@ -95,20 +91,6 @@ struct EngineConfig {
   uint32_t telemetry_interval_ms = 250;  // JSONL snapshot cadence
   // Append one JSON snapshot per interval to this path; empty = no stream.
   std::filesystem::path telemetry_jsonl;
-  // --- distributed mode --------------------------------------------------------
-  // Disaggregates the data plane into worker *processes*: cache-block and
-  // shuffle-bucket payloads live in N blaze_worker children reached over a
-  // length-prefixed, CRC-trailed TCP wire protocol, while the decision plane
-  // (stage DAG, MCKP planning, arbiter ledgers, lineage) stays in this
-  // process and sees only logical-size stubs. Off by default — the
-  // in-process path is byte-identical and remains the fast path. The
-  // BLAZE_WORKERS=N env var force-enables it with N workers.
-  bool distributed = false;
-  size_t num_workers = 0;            // 0 = one worker per executor
-  uint64_t worker_memory_bytes = 0;  // 0 = memory_capacity_per_executor
-  int heartbeat_interval_ms = 250;
-  int heartbeat_miss_limit = 4;      // consecutive misses before declaring loss
-  std::string worker_binary;         // empty = discover next to the executable
   // --- multi-tenant service mode ------------------------------------------------
   // First-class tenants (see src/dataflow/tenant.h): admission control on
   // SubmitJobAs, per-tenant soft memory shares in the arbiter ledgers with a
@@ -229,19 +211,6 @@ class EngineContext {
   // into RunMetrics; the scheduler calls this at job end.
   void SyncArbiterMetrics();
 
-  // --- distributed mode -------------------------------------------------------
-  // True when payloads live in worker processes (config.distributed or
-  // BLAZE_WORKERS in the environment).
-  bool distributed() const { return remote_ != nullptr; }
-  // The worker fleet proxy, or nullptr in in-process mode.
-  net::RemoteExecutorSet* remote_executors() { return remote_.get(); }
-  // Worker slot hosting the payloads of this executor's blocks.
-  size_t WorkerSlotFor(size_t executor) const;
-  // A stub fetch failed mid-task (the worker died between heartbeats): drop
-  // the stub and mark the partition non-resident so the caller's recompute is
-  // consistent. The monitor's full sweep follows when the loss is declared.
-  void OnRemoteBlockLost(const BlockId& id, size_t slot);
-
  private:
   struct Executor {
     // Destruction order matters: the pool must drain before the stores die.
@@ -252,20 +221,6 @@ class EngineContext {
         : block_manager(id, bm_config, metrics),
           pool(threads, "executor-" + std::to_string(id)) {}
   };
-
-  // Spawns the worker fleet and installs the offload/read hooks on every
-  // executor store and the shuffle service. Dies (BLAZE_CHECK) if a worker
-  // does not come up — a half-distributed engine would silently lose data.
-  void StartDistributed(size_t num_workers);
-  // Monitor-thread callback after heartbeat loss / child death: drops every
-  // stub of the slot, invalidates lineage, and sweeps the slot's buckets.
-  void OnWorkerLost(size_t slot);
-  // Offload hooks (see StartDistributed): encode the payload, ship it to the
-  // slot, and return a logical-size stub; null = keep the block local.
-  BlockPtr OffloadBlock(size_t slot, const BlockId& id, const BlockPtr& block,
-                        uint64_t logical_bytes);
-  BlockPtr OffloadBucket(int shuffle_id, uint32_t map_part, uint32_t reduce_part,
-                         const BlockPtr& bucket);
 
   EngineConfig config_;
   RunMetrics metrics_;
@@ -281,15 +236,6 @@ class EngineContext {
   std::unique_ptr<TenantRegistry> tenants_;
   std::unique_ptr<DagScheduler> scheduler_;
   std::unique_ptr<MetricsExporter> exporter_;
-  // Worker fleet (distributed mode only). shared_ptr: stub closures capture
-  // it, so in-flight releases stay safe across engine teardown ordering.
-  std::shared_ptr<net::RemoteExecutorSet> remote_;
-  // Blocks demoted onto a worker's disk tier (id -> slot). Gates the
-  // remote-read fallback so ordinary cold misses never pay a wire round-trip,
-  // and lets worker loss invalidate disk-state lineage entries whose stubs
-  // died at eviction time.
-  mutable std::mutex remote_disk_mu_;
-  std::unordered_map<BlockId, size_t, BlockIdHash> remote_disk_;
   // (name, token) of every callback gauge this engine registered with
   // MetricsRegistry::Global(); unregistered (token-checked, so a successor
   // engine's re-registrations survive) before the subsystems they read die.

@@ -169,12 +169,14 @@ BlazeServiceClient::BlazeServiceClient(uint16_t port, int timeout_ms)
 
 namespace {
 
-// One round trip: encode, call, decode the expected response type.
+// One round trip: encode, call, decode the expected response type. `attempts`
+// is passed to RpcClient::Call; only read verbs may resend.
 template <typename Resp>
 std::optional<Resp> RoundTrip(net::RpcClient& client, std::vector<uint8_t> request,
-                              uint64_t request_id, MsgType expect, std::string* error) {
+                              uint64_t request_id, MsgType expect, std::string* error,
+                              int attempts = 3) {
   std::vector<uint8_t> response;
-  if (!client.Call(request, &response, error)) {
+  if (!client.Call(request, &response, error, attempts)) {
     return std::nullopt;
   }
   ByteSource body(response);
@@ -201,9 +203,11 @@ bool BlazeServiceClient::Submit(const std::string& tenant, const std::string& wo
   msg.workload = workload;
   msg.iterations = iterations;
   const uint64_t id = client_.NextRequestId();
+  // Sent once: a resend after a dropped connection or a timed-out read could
+  // start the job again on a server that already accepted it.
   const auto resp = RoundTrip<net::JobSubmitRespMsg>(
       client_, EncodeEnvelope(MsgType::kJobSubmit, id, msg), id, MsgType::kJobSubmitResp,
-      error);
+      error, /*attempts=*/1);
   if (!resp.has_value()) {
     return false;
   }

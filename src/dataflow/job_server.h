@@ -18,8 +18,7 @@
 //                                 and hit/miss counters.
 //
 // Workloads are registered by name — both processes link the driver code, so
-// only the name and an iteration count travel on the wire (the same
-// registration idiom the distributed task path uses).
+// only the name and an iteration count travel on the wire.
 #ifndef SRC_DATAFLOW_JOB_SERVER_H_
 #define SRC_DATAFLOW_JOB_SERVER_H_
 
@@ -93,7 +92,8 @@ class BlazeServiceClient {
 
   // False on transport failure; *error explains. A submit that reached the
   // server but was refused (unknown tenant/workload) also returns false with
-  // the server's reason in *error.
+  // the server's reason in *error. Submit is sent once and never resent (a
+  // transport failure may leave the job started); Status and Stats retry.
   bool Submit(const std::string& tenant, const std::string& workload, int iterations,
               int64_t* server_job_id, std::string* error = nullptr);
   bool Status(int64_t server_job_id, net::JobStatusRespMsg* out,

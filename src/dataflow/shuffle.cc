@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/common/trace.h"
-#include "src/storage/remote_block.h"
 
 namespace blaze {
 
@@ -20,14 +19,6 @@ void ShuffleService::PutBucket(int shuffle_id, uint32_t map_part, uint32_t reduc
   TRACE_SCOPE("shuffle.put", "shuffle", trace::TArg("shuffle", shuffle_id),
               trace::TArg("map", map_part), trace::TArg("reduce", reduce_part),
               trace::TArg("bytes", bucket->SizeBytes()));
-  // Offload the payload into a worker before the shard lock: the hook does a
-  // blocking RPC. The stub reports the original logical size, so every byte
-  // ledger below charges exactly what the in-process path would.
-  if (remote_hook_ && dynamic_cast<const RemoteBlockStub*>(bucket.get()) == nullptr) {
-    if (BlockPtr stub = remote_hook_(shuffle_id, map_part, reduce_part, bucket)) {
-      bucket = std::move(stub);
-    }
-  }
   MemoryArbiter* arbiter = ArbiterFor(map_part);
   Shard& shard = ShardFor(shuffle_id, reduce_part);
   std::lock_guard<SpinLock> lock(shard.mu);
@@ -183,34 +174,6 @@ void ShuffleService::ClearShuffle(int shuffle_id) {
   ClearShuffleInShards(shuffle_id);
   std::lock_guard<std::mutex> lock(control_mu_);
   entries_.erase(shuffle_id);
-}
-
-size_t ShuffleService::DropExecutorBuckets(size_t slot) {
-  // Stub destructors fire release RPCs; collect the victims under each shard
-  // lock but let them die outside it (the client is marked down, so the
-  // releases fail fast instead of retrying against a dead process).
-  std::vector<BlockPtr> victims;
-  for (Shard& shard : shards_) {
-    std::lock_guard<SpinLock> lock(shard.mu);
-    for (auto it = shard.buckets.begin(); it != shard.buckets.end();) {
-      const auto* stub = dynamic_cast<const RemoteBlockStub*>(it->second.get());
-      if (stub != nullptr && stub->slot() == slot) {
-        approx_bytes_.fetch_sub(it->second->SizeBytes(), std::memory_order_relaxed);
-        if (MemoryArbiter* arbiter = ArbiterFor(it->first.map_part)) {
-          arbiter->ReleaseExecution(it->second->SizeBytes());
-        }
-        auto count_it = shard.bucket_counts.find(it->first.shuffle_id);
-        if (count_it != shard.bucket_counts.end() && count_it->second > 0) {
-          --count_it->second;
-        }
-        victims.push_back(std::move(it->second));
-        it = shard.buckets.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  return victims.size();
 }
 
 void ShuffleService::MarkUsed(int shuffle_id, int job_id) {

@@ -50,23 +50,6 @@ class ShuffleService {
     kPending,          // another job is writing; callback fires on completion
   };
 
-  // Distributed mode: offloads bucket payloads into worker processes. Called
-  // on every PutBucket *before* the shard insert (the hook does an RPC and
-  // must never run under a shard spinlock); returns a stub block standing in
-  // for the payload, or nullptr to keep the bucket local. Set while quiesced
-  // (engine construction), like AttachArbiters.
-  using RemoteBucketHook =
-      std::function<BlockPtr(int shuffle_id, uint32_t map_part, uint32_t reduce_part,
-                             const BlockPtr& bucket)>;
-  void SetRemoteBucketHook(RemoteBucketHook hook) { remote_hook_ = std::move(hook); }
-
-  // Drops every bucket whose payload lived in the given worker slot (the
-  // process died). Byte/arbiter accounting is released; the shuffle's
-  // completion state is left alone — reduce-side reads rebuild missing
-  // buckets through the lineage (ReadOrRebuildShuffleBuckets), exactly the
-  // re-aggregation recovery the service models. Returns #buckets dropped.
-  size_t DropExecutorBuckets(size_t slot);
-
   // Registers the bucket for (shuffle, map_partition, reduce_partition).
   void PutBucket(int shuffle_id, uint32_t map_part, uint32_t reduce_part, BlockPtr bucket);
 
@@ -177,7 +160,6 @@ class ShuffleService {
   // Written only while quiesced (AttachArbiters/DetachArbiters); read on the
   // bucket hot path without locking.
   std::vector<MemoryArbiter*> arbiters_;
-  RemoteBucketHook remote_hook_;  // same write-while-quiesced discipline
   std::atomic<uint64_t> approx_bytes_{0};
   std::atomic<int> next_shuffle_id_{0};
 

@@ -3,7 +3,6 @@
 #include "src/common/logging.h"
 #include "src/common/trace.h"
 #include "src/dataflow/engine_context.h"
-#include "src/storage/remote_block.h"
 
 namespace blaze {
 
@@ -83,29 +82,8 @@ BlockPtr TaskContext::GetBlockImpl(const RddBase& rdd, uint32_t index, bool keep
 
   CacheCoordinator& coordinator = engine_->coordinator();
   if (auto hit = coordinator.Lookup(rdd, index, *this)) {
-    const auto* stub = dynamic_cast<const RemoteBlockStub*>(hit->get());
-    if (stub == nullptr) {
-      record_tenant_lookup(/*hit=*/true);
-      return serve(std::move(*hit));
-    }
-    // Distributed mode: the payload lives in a worker process. Pull it over
-    // the wire and decode; the fetch+decode time is charged like a disk-tier
-    // hit (it is the same "resident but not in this address space" cost the
-    // recovery accounting compares recomputation against).
-    double fetch_ms = 0;
-    if (auto bytes = stub->Fetch(&fetch_ms)) {
-      Stopwatch decode_watch;
-      ByteSource src(*bytes);
-      BlockPtr block = rdd.DecodeBlock(src);
-      metrics_.cache_disk_ms += fetch_ms + decode_watch.ElapsedMillis();
-      metrics_.cache_disk_bytes_read += bytes->size();
-      record_tenant_lookup(/*hit=*/true);
-      return serve(std::move(block));
-    }
-    // The worker died with the payload. Bring the control plane into
-    // agreement (drop the stub, mark the partition non-resident) and fall
-    // through to lineage recomputation — the timed recovery path below.
-    engine_->OnRemoteBlockLost(BlockId{rdd.id(), index}, stub->slot());
+    record_tenant_lookup(/*hit=*/true);
+    return serve(std::move(*hit));
   }
 
   const BlockId block_id{rdd.id(), index};
@@ -230,22 +208,6 @@ std::vector<BlockPtr> TaskContext::ReadOrRebuildShuffleBuckets(const RddBase& sh
   uint64_t fetched_bytes = 0;
   for (uint32_t m = 0; m < num_map; ++m) {
     BlockPtr bucket = engine_->shuffle().GetBucket(dep.shuffle_id, m, reduce_partition);
-    if (const auto* stub = dynamic_cast<const RemoteBlockStub*>(bucket.get())) {
-      // Worker-held bucket payload: fetch and decode with the map side's
-      // codec (buckets hold rows of the parent's type). A failed fetch means
-      // the worker died — treat it exactly like a cleaned shuffle output and
-      // rebuild through the lineage below; the re-registered buckets replace
-      // every stale stub of this map partition.
-      double fetch_ms = 0;
-      if (auto bytes = stub->Fetch(&fetch_ms)) {
-        ByteSource src(*bytes);
-        bucket = dep.parent->DecodeBlock(src);
-        metrics_.cache_disk_ms += fetch_ms;
-        metrics_.cache_disk_bytes_read += bytes->size();
-      } else {
-        bucket = nullptr;
-      }
-    }
     if (bucket == nullptr) {
       // Map output lost (shuffle cleaned): re-run this map partition through
       // the lineage and re-register all of its buckets — Spark's recursive

@@ -1,4 +1,4 @@
-// Wire framing for the coordinator/worker protocol.
+// Wire framing for the job-service protocol (message.h).
 //
 // Every message travels as one frame over a local TCP stream:
 //
@@ -11,8 +11,8 @@
 // a peer allocate unbounded memory.
 //
 // Socket helpers: loopback-only listen/connect with SO_REUSEADDR and
-// bind/connect retry with exponential backoff, so coordinator/worker control
-// ports survive fast restarts in tests and CI.
+// bind/connect retry with exponential backoff, so service ports survive fast
+// restarts in tests and CI.
 #ifndef SRC_NET_FRAME_H_
 #define SRC_NET_FRAME_H_
 

@@ -41,33 +41,10 @@ bool TryReadBool(ByteSource& src, bool* out) {
   return true;
 }
 
-bool TryReadBlockId(ByteSource& src, BlockId* out) {
-  return TryReadPod(src, &out->rdd_id) && TryReadPod(src, &out->partition);
-}
-
-void WriteBlockId(ByteSink& sink, const BlockId& id) {
-  sink.WritePod<uint32_t>(id.rdd_id);
-  sink.WritePod<uint32_t>(id.partition);
-}
-
 }  // namespace
 
 const char* MsgTypeName(MsgType type) {
   switch (type) {
-    case MsgType::kTaskLaunch: return "task_launch";
-    case MsgType::kTaskResult: return "task_result";
-    case MsgType::kBlockPut: return "block_put";
-    case MsgType::kBlockGet: return "block_get";
-    case MsgType::kBlockGetResp: return "block_get_resp";
-    case MsgType::kBlockRemove: return "block_remove";
-    case MsgType::kBucketPut: return "bucket_put";
-    case MsgType::kBucketFetch: return "bucket_fetch";
-    case MsgType::kBucketFetchResp: return "bucket_fetch_resp";
-    case MsgType::kBucketRemove: return "bucket_remove";
-    case MsgType::kHeartbeat: return "heartbeat";
-    case MsgType::kHeartbeatAck: return "heartbeat_ack";
-    case MsgType::kShutdown: return "shutdown";
-    case MsgType::kAck: return "ack";
     case MsgType::kJobSubmit: return "job_submit";
     case MsgType::kJobSubmitResp: return "job_submit_resp";
     case MsgType::kJobStatus: return "job_status";
@@ -76,18 +53,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kTenantStatsResp: return "tenant_stats_resp";
   }
   return "unknown";
-}
-
-bool ReadBytes(ByteSource& src, std::vector<uint8_t>* out) {
-  uint64_t len = 0;
-  if (!TryReadVarint(src, &len) || len > src.remaining()) {
-    return false;
-  }
-  out->resize(len);
-  if (len > 0) {
-    src.ReadRaw(out->data(), len);
-  }
-  return true;
 }
 
 bool ReadString(ByteSource& src, std::string* out) {
@@ -100,13 +65,6 @@ bool ReadString(ByteSource& src, std::string* out) {
     src.ReadRaw(out->data(), len);
   }
   return true;
-}
-
-void WriteBytes(ByteSink& sink, const uint8_t* data, size_t len) {
-  sink.WriteVarint(len);
-  if (len > 0) {
-    sink.WriteRaw(data, len);
-  }
 }
 
 void WriteString(ByteSink& sink, const std::string& s) {
@@ -127,217 +85,12 @@ std::optional<MessageHeader> MessageHeader::Decode(ByteSource& src) {
   if (!TryReadPod(src, &raw_type) || !TryReadPod(src, &h.request_id)) {
     return std::nullopt;
   }
-  if (raw_type < 1 || raw_type > static_cast<uint8_t>(MsgType::kTenantStatsResp)) {
+  if (raw_type < static_cast<uint8_t>(MsgType::kJobSubmit) ||
+      raw_type > static_cast<uint8_t>(MsgType::kTenantStatsResp)) {
     return std::nullopt;
   }
   h.type = static_cast<MsgType>(raw_type);
   return h;
-}
-
-void TaskLaunchMsg::EncodeTo(ByteSink& sink) const {
-  sink.WritePod<int32_t>(job_id);
-  sink.WritePod<int32_t>(stage_id);
-  sink.WritePod<uint32_t>(partition);
-  WriteString(sink, closure);
-  WriteBytes(sink, args.data(), args.size());
-}
-
-std::optional<TaskLaunchMsg> TaskLaunchMsg::Decode(ByteSource& src) {
-  TaskLaunchMsg m;
-  if (!TryReadPod(src, &m.job_id) || !TryReadPod(src, &m.stage_id) ||
-      !TryReadPod(src, &m.partition) || !ReadString(src, &m.closure) ||
-      !ReadBytes(src, &m.args)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-void TaskResultMsg::EncodeTo(ByteSink& sink) const {
-  sink.WritePod<uint8_t>(ok ? 1 : 0);
-  WriteString(sink, error);
-  WriteBytes(sink, payload.data(), payload.size());
-}
-
-std::optional<TaskResultMsg> TaskResultMsg::Decode(ByteSource& src) {
-  TaskResultMsg m;
-  if (!TryReadBool(src, &m.ok) || !ReadString(src, &m.error) ||
-      !ReadBytes(src, &m.payload)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-void BlockPutMsg::EncodeTo(ByteSink& sink) const {
-  WriteBlockId(sink, id);
-  sink.WritePod<uint64_t>(incarnation);
-  sink.WritePod<uint64_t>(logical_bytes);
-  WriteBytes(sink, payload.data(), payload.size());
-}
-
-std::optional<BlockPutMsg> BlockPutMsg::Decode(ByteSource& src) {
-  BlockPutMsg m;
-  if (!TryReadBlockId(src, &m.id) || !TryReadPod(src, &m.incarnation) ||
-      !TryReadPod(src, &m.logical_bytes) || !ReadBytes(src, &m.payload)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-void BlockGetMsg::EncodeTo(ByteSink& sink) const { WriteBlockId(sink, id); }
-
-std::optional<BlockGetMsg> BlockGetMsg::Decode(ByteSource& src) {
-  BlockGetMsg m;
-  if (!TryReadBlockId(src, &m.id)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-void BlockGetRespMsg::EncodeTo(ByteSink& sink) const {
-  sink.WritePod<uint8_t>(found ? 1 : 0);
-  sink.WritePod<uint8_t>(from_memory ? 1 : 0);
-  WriteBytes(sink, payload.data(), payload.size());
-}
-
-std::optional<BlockGetRespMsg> BlockGetRespMsg::Decode(ByteSource& src) {
-  BlockGetRespMsg m;
-  if (!TryReadBool(src, &m.found) || !TryReadBool(src, &m.from_memory) ||
-      !ReadBytes(src, &m.payload)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-void BlockRemoveMsg::EncodeTo(ByteSink& sink) const {
-  WriteBlockId(sink, id);
-  sink.WritePod<uint64_t>(incarnation);
-  sink.WritePod<uint8_t>(include_memory ? 1 : 0);
-  sink.WritePod<uint8_t>(include_disk ? 1 : 0);
-}
-
-std::optional<BlockRemoveMsg> BlockRemoveMsg::Decode(ByteSource& src) {
-  BlockRemoveMsg m;
-  if (!TryReadBlockId(src, &m.id) || !TryReadPod(src, &m.incarnation) ||
-      !TryReadBool(src, &m.include_memory) || !TryReadBool(src, &m.include_disk)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-void BucketPutMsg::EncodeTo(ByteSink& sink) const {
-  sink.WritePod<int32_t>(shuffle_id);
-  sink.WritePod<uint32_t>(map_part);
-  sink.WritePod<uint32_t>(reduce_part);
-  sink.WritePod<uint64_t>(incarnation);
-  WriteBytes(sink, payload.data(), payload.size());
-}
-
-std::optional<BucketPutMsg> BucketPutMsg::Decode(ByteSource& src) {
-  BucketPutMsg m;
-  if (!TryReadPod(src, &m.shuffle_id) || !TryReadPod(src, &m.map_part) ||
-      !TryReadPod(src, &m.reduce_part) || !TryReadPod(src, &m.incarnation) ||
-      !ReadBytes(src, &m.payload)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-void BucketFetchMsg::EncodeTo(ByteSink& sink) const {
-  sink.WritePod<int32_t>(shuffle_id);
-  sink.WritePod<uint32_t>(map_part);
-  sink.WritePod<uint32_t>(reduce_part);
-}
-
-std::optional<BucketFetchMsg> BucketFetchMsg::Decode(ByteSource& src) {
-  BucketFetchMsg m;
-  if (!TryReadPod(src, &m.shuffle_id) || !TryReadPod(src, &m.map_part) ||
-      !TryReadPod(src, &m.reduce_part)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-void BucketFetchRespMsg::EncodeTo(ByteSink& sink) const {
-  sink.WritePod<uint8_t>(found ? 1 : 0);
-  WriteBytes(sink, payload.data(), payload.size());
-}
-
-std::optional<BucketFetchRespMsg> BucketFetchRespMsg::Decode(ByteSource& src) {
-  BucketFetchRespMsg m;
-  if (!TryReadBool(src, &m.found) || !ReadBytes(src, &m.payload)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-void BucketRemoveMsg::EncodeTo(ByteSink& sink) const {
-  sink.WritePod<int32_t>(shuffle_id);
-  sink.WritePod<uint32_t>(map_part);
-  sink.WritePod<uint32_t>(reduce_part);
-  sink.WritePod<uint64_t>(incarnation);
-  sink.WritePod<uint8_t>(all ? 1 : 0);
-}
-
-std::optional<BucketRemoveMsg> BucketRemoveMsg::Decode(ByteSource& src) {
-  BucketRemoveMsg m;
-  if (!TryReadPod(src, &m.shuffle_id) || !TryReadPod(src, &m.map_part) ||
-      !TryReadPod(src, &m.reduce_part) || !TryReadPod(src, &m.incarnation) ||
-      !TryReadBool(src, &m.all)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-void HeartbeatMsg::EncodeTo(ByteSink& sink) const { sink.WritePod<uint64_t>(seq); }
-
-std::optional<HeartbeatMsg> HeartbeatMsg::Decode(ByteSource& src) {
-  HeartbeatMsg m;
-  if (!TryReadPod(src, &m.seq)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-void HeartbeatAckMsg::EncodeTo(ByteSink& sink) const {
-  sink.WritePod<uint64_t>(seq);
-  sink.WritePod<int32_t>(stats.pid);
-  sink.WritePod<uint64_t>(stats.live_bytes);
-  sink.WritePod<uint64_t>(stats.disk_bytes);
-  sink.WritePod<uint64_t>(stats.block_count);
-  sink.WritePod<uint64_t>(stats.bucket_count);
-  sink.WritePod<uint64_t>(stats.bucket_bytes);
-  sink.WritePod<uint64_t>(stats.pinned_blocks);
-  sink.WritePod<uint64_t>(stats.inflight_tasks);
-  sink.WritePod<uint64_t>(stats.tasks_executed);
-}
-
-std::optional<HeartbeatAckMsg> HeartbeatAckMsg::Decode(ByteSource& src) {
-  HeartbeatAckMsg m;
-  if (!TryReadPod(src, &m.seq) || !TryReadPod(src, &m.stats.pid) ||
-      !TryReadPod(src, &m.stats.live_bytes) ||
-      !TryReadPod(src, &m.stats.disk_bytes) ||
-      !TryReadPod(src, &m.stats.block_count) ||
-      !TryReadPod(src, &m.stats.bucket_count) ||
-      !TryReadPod(src, &m.stats.bucket_bytes) ||
-      !TryReadPod(src, &m.stats.pinned_blocks) ||
-      !TryReadPod(src, &m.stats.inflight_tasks) ||
-      !TryReadPod(src, &m.stats.tasks_executed)) {
-    return std::nullopt;
-  }
-  return m;
-}
-
-void AckMsg::EncodeTo(ByteSink& sink) const {
-  sink.WritePod<uint8_t>(ok ? 1 : 0);
-  WriteString(sink, error);
-}
-
-std::optional<AckMsg> AckMsg::Decode(ByteSource& src) {
-  AckMsg m;
-  if (!TryReadBool(src, &m.ok) || !ReadString(src, &m.error)) {
-    return std::nullopt;
-  }
-  return m;
 }
 
 void JobSubmitMsg::EncodeTo(ByteSink& sink) const {

@@ -1,16 +1,16 @@
-// Coordinator/worker wire messages.
+// Job-service wire messages (blaze_serve <-> BlazeServiceClient / blazectl).
 //
 // One request/response pair per protocol verb, serialized with the engine's
-// codec primitives (varint lengths, little-endian PODs — the same wire
-// conventions blocks use, so a block payload embeds without re-encoding).
-// Every frame payload is:
+// codec primitives (varint lengths, little-endian PODs). Every frame payload
+// is:
 //
 //   [u8 MsgType] [u64 request_id] [message body]
 //
-// Decoding is defensive end to end: a frame whose CRC passed can still carry
-// a short or malformed body (a buggy peer), so every Decode checks bounds and
-// returns nullopt instead of dying — the connection is then dropped as a
-// protocol error. BLAZE_CHECK-style aborts are reserved for local bugs.
+// Decoding is defensive end to end: the bytes arrive on a TCP port, and a
+// frame whose CRC passed can still carry a short or malformed body, so every
+// Decode checks bounds and returns nullopt instead of dying — the connection
+// is then dropped as a protocol error. BLAZE_CHECK-style aborts are reserved
+// for local bugs.
 #ifndef SRC_NET_MESSAGE_H_
 #define SRC_NET_MESSAGE_H_
 
@@ -20,27 +20,12 @@
 #include <vector>
 
 #include "src/serialize/byte_buffer.h"
-#include "src/storage/block.h"
 
 namespace blaze::net {
 
+// Values 1-14 are retired and must not be reused; MessageHeader::Decode
+// rejects them.
 enum class MsgType : uint8_t {
-  kTaskLaunch = 1,    // run a registered task closure on the worker
-  kTaskResult = 2,
-  kBlockPut = 3,      // admit an encoded cache-block payload
-  kBlockGet = 4,      // fetch a payload (memory tier, then worker disk)
-  kBlockGetResp = 5,
-  kBlockRemove = 6,   // drop a payload (incarnation-checked)
-  kBucketPut = 7,     // register an encoded shuffle bucket
-  kBucketFetch = 8,
-  kBucketFetchResp = 9,
-  kBucketRemove = 10,
-  kHeartbeat = 11,
-  kHeartbeatAck = 12,
-  kShutdown = 13,
-  kAck = 14,          // generic ok/error response
-
-  // Multi-tenant job service (blaze_serve daemon).
   kJobSubmit = 15,       // submit a named workload on behalf of a tenant
   kJobSubmitResp = 16,
   kJobStatus = 17,       // poll a previously submitted server job
@@ -52,152 +37,11 @@ enum class MsgType : uint8_t {
 const char* MsgTypeName(MsgType type);
 
 struct MessageHeader {
-  MsgType type = MsgType::kAck;
+  MsgType type = MsgType::kJobSubmit;
   uint64_t request_id = 0;
 
   void EncodeTo(ByteSink& sink) const;
   static std::optional<MessageHeader> Decode(ByteSource& src);
-};
-
-// --- task execution ---------------------------------------------------------
-
-// A serialized task closure: the closure itself is referenced by registry
-// name (both processes link the same registration code), its arguments
-// travel as opaque codec bytes.
-struct TaskLaunchMsg {
-  int32_t job_id = -1;
-  int32_t stage_id = -1;
-  uint32_t partition = 0;
-  std::string closure;            // TaskClosureRegistry name
-  std::vector<uint8_t> args;
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<TaskLaunchMsg> Decode(ByteSource& src);
-};
-
-struct TaskResultMsg {
-  bool ok = false;
-  std::string error;
-  std::vector<uint8_t> payload;
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<TaskResultMsg> Decode(ByteSource& src);
-};
-
-// --- block payloads ---------------------------------------------------------
-
-struct BlockPutMsg {
-  BlockId id;
-  uint64_t incarnation = 0;   // distinguishes replacements of the same id
-  uint64_t logical_bytes = 0; // in-memory footprint charged by the coordinator
-  std::vector<uint8_t> payload;
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<BlockPutMsg> Decode(ByteSource& src);
-};
-
-struct BlockGetMsg {
-  BlockId id;
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<BlockGetMsg> Decode(ByteSource& src);
-};
-
-struct BlockGetRespMsg {
-  bool found = false;
-  bool from_memory = true;
-  std::vector<uint8_t> payload;
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<BlockGetRespMsg> Decode(ByteSource& src);
-};
-
-struct BlockRemoveMsg {
-  BlockId id;
-  uint64_t incarnation = 0;  // remove only if the resident incarnation matches
-  bool include_memory = true;  // drop the memory-tier copy
-  bool include_disk = false;   // drop the worker-disk copy
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<BlockRemoveMsg> Decode(ByteSource& src);
-};
-
-// --- shuffle buckets --------------------------------------------------------
-
-struct BucketPutMsg {
-  int32_t shuffle_id = -1;
-  uint32_t map_part = 0;
-  uint32_t reduce_part = 0;
-  uint64_t incarnation = 0;
-  std::vector<uint8_t> payload;
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<BucketPutMsg> Decode(ByteSource& src);
-};
-
-struct BucketFetchMsg {
-  int32_t shuffle_id = -1;
-  uint32_t map_part = 0;
-  uint32_t reduce_part = 0;
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<BucketFetchMsg> Decode(ByteSource& src);
-};
-
-struct BucketFetchRespMsg {
-  bool found = false;
-  std::vector<uint8_t> payload;
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<BucketFetchRespMsg> Decode(ByteSource& src);
-};
-
-struct BucketRemoveMsg {
-  int32_t shuffle_id = -1;   // remove every bucket of the shuffle when all=true
-  uint32_t map_part = 0;
-  uint32_t reduce_part = 0;
-  uint64_t incarnation = 0;
-  bool all = false;
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<BucketRemoveMsg> Decode(ByteSource& src);
-};
-
-// --- liveness ---------------------------------------------------------------
-
-struct WorkerStats {
-  int32_t pid = 0;
-  uint64_t live_bytes = 0;       // memory-tier payload bytes
-  uint64_t disk_bytes = 0;       // worker-disk payload bytes
-  uint64_t block_count = 0;
-  uint64_t bucket_count = 0;
-  uint64_t bucket_bytes = 0;
-  uint64_t pinned_blocks = 0;
-  uint64_t inflight_tasks = 0;
-  uint64_t tasks_executed = 0;
-};
-
-struct HeartbeatMsg {
-  uint64_t seq = 0;
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<HeartbeatMsg> Decode(ByteSource& src);
-};
-
-struct HeartbeatAckMsg {
-  uint64_t seq = 0;
-  WorkerStats stats;
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<HeartbeatAckMsg> Decode(ByteSource& src);
-};
-
-struct AckMsg {
-  bool ok = true;
-  std::string error;
-
-  void EncodeTo(ByteSink& sink) const;
-  static std::optional<AckMsg> Decode(ByteSource& src);
 };
 
 // --- multi-tenant job service -----------------------------------------------
@@ -268,11 +112,9 @@ struct TenantStatsRespMsg {
 
 // --- bounded helpers (shared by the decoders) -------------------------------
 
-// Length-prefixed byte/string reads that validate the length against the
+// Length-prefixed string read that validates the length against the
 // remaining source instead of dying on underflow.
-bool ReadBytes(ByteSource& src, std::vector<uint8_t>* out);
 bool ReadString(ByteSource& src, std::string* out);
-void WriteBytes(ByteSink& sink, const uint8_t* data, size_t len);
 void WriteString(ByteSink& sink, const std::string& s);
 
 // Encodes header + body into one frame payload.

@@ -124,22 +124,6 @@ RpcClient::~RpcClient() {
   }
 }
 
-void RpcClient::MarkDown() {
-  down_.store(true, std::memory_order_relaxed);
-  for (auto& conn : conns_) {
-    std::lock_guard<std::mutex> lock(conn.mu);
-    if (conn.fd >= 0) {
-      // shutdown wakes any thread currently blocked on this connection so it
-      // fails its call instead of waiting out the socket timeout.
-      ::shutdown(conn.fd, SHUT_RDWR);
-      ::close(conn.fd);
-      conn.fd = -1;
-    }
-  }
-}
-
-void RpcClient::MarkUp() { down_.store(false, std::memory_order_relaxed); }
-
 bool RpcClient::Call(const std::vector<uint8_t>& request,
                      std::vector<uint8_t>* response, std::string* error,
                      int attempts) {
@@ -147,17 +131,10 @@ bool RpcClient::Call(const std::vector<uint8_t>& request,
   Conn& conn = conns_[slot];
   std::lock_guard<std::mutex> lock(conn.mu);
 
-  if (down()) {
-    attempts = 1;  // fail fast; the monitor decided this peer is gone
-  }
   std::string local_error;
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0 && on_retry_) {
-      on_retry_();
-    }
     if (conn.fd < 0) {
-      conn.fd = ConnectLocal(port_, /*attempts=*/down() ? 1 : 3, timeout_ms_,
-                             &local_error);
+      conn.fd = ConnectLocal(port_, /*attempts=*/3, timeout_ms_, &local_error);
       if (conn.fd < 0) {
         continue;
       }

@@ -1,4 +1,5 @@
-// Blocking RPC shim over the framed loopback protocol.
+// Blocking RPC shim over the framed loopback protocol (the job-service verbs
+// of message.h).
 //
 // RpcServer: accept loop plus one serving thread per connection; each request
 // frame is decoded to a header and handed to the handler, whose response
@@ -6,12 +7,12 @@
 // concurrency comes from the client opening several connections, which keeps
 // the protocol trivially orderable (no interleaved responses).
 //
-// RpcClient: a small pool of persistent connections to one worker. A call
+// RpcClient: a small pool of persistent connections to one server. A call
 // locks a connection, writes the request, and blocks for the response.
-// Dead connections are re-dialed with exponential backoff and the request is
-// retried (all protocol verbs are idempotent: puts are keyed overwrites,
-// gets are reads, removes are incarnation-guarded), so a worker restart
-// inside the retry window is invisible to callers.
+// Dead connections are re-dialed with exponential backoff, and by default the
+// request is resent after a transport error. A resent request may already
+// have been applied, so only reads (job status, tenant stats) may use the
+// default; a verb with a side effect (job submit) must pass attempts = 1.
 #ifndef SRC_NET_RPC_H_
 #define SRC_NET_RPC_H_
 
@@ -78,20 +79,13 @@ class RpcClient {
 
   // Blocking request/response. `request` is a full frame payload (use
   // EncodeEnvelope); the response frame payload lands in *response. False
-  // after all reconnect attempts fail, with the last error in *error.
+  // after all `attempts` sends fail, with the last error in *error. Each
+  // attempt after the first resends the request: pass 1 for a verb that
+  // must not run twice.
   bool Call(const std::vector<uint8_t>& request, std::vector<uint8_t>* response,
             std::string* error = nullptr, int attempts = 3);
 
   uint64_t NextRequestId() { return next_request_id_.fetch_add(1) + 1; }
-
-  // Marks the peer gone: closes pooled fds and makes further Calls fail
-  // fast with a single dial attempt instead of the full backoff ladder.
-  void MarkDown();
-  void MarkUp();
-  bool down() const { return down_.load(std::memory_order_relaxed); }
-
-  // Invoked once per reconnect-and-retry (feeds the net.rpc_retries counter).
-  void set_on_retry(std::function<void()> cb) { on_retry_ = std::move(cb); }
 
   uint16_t port() const { return port_; }
 
@@ -106,8 +100,6 @@ class RpcClient {
   std::vector<Conn> conns_;
   std::atomic<uint64_t> next_slot_{0};
   std::atomic<uint64_t> next_request_id_{0};
-  std::atomic<bool> down_{false};
-  std::function<void()> on_retry_;
 };
 
 // Decodes a response frame into (header, body) and checks the echoed

@@ -3,7 +3,6 @@
 #include "src/common/logging.h"
 #include "src/common/stopwatch.h"
 #include "src/common/trace.h"
-#include "src/storage/remote_block.h"
 
 namespace blaze {
 
@@ -70,22 +69,6 @@ uint64_t BlockManager::PendingSpillBytes() const { return spill_->pending_spill_
 double BlockManager::SpillToDisk(const BlockId& id, const BlockData& data,
                                  uint64_t* bytes_out) {
   Stopwatch watch;
-  // A remote-held block spills *inside* its worker: one task-closure RPC moves
-  // the payload memory -> worker disk without the bytes ever transiting back.
-  // No local disk-residency delta is recorded — the coordinator's disk store
-  // never sees these bytes (the worker's disk usage is reported through its
-  // heartbeat stats instead). A failed demotion (worker died) just loses the
-  // payload; the next read misses and lineage recomputes.
-  if (const auto* stub = dynamic_cast<const RemoteBlockStub*>(&data)) {
-    if (!stub->Demote()) {
-      BLAZE_LOG(kWarn) << "remote demote failed for " << id.ToString()
-                       << " (worker " << stub->slot() << "); block drops to lineage";
-    }
-    if (bytes_out != nullptr) {
-      *bytes_out = stub->SizeBytes();
-    }
-    return watch.ElapsedMillis();
-  }
   const uint64_t spill_start_us = trace::Enabled() ? ProcessMicros() : 0;
   // Spills are frequent and sized within a narrow band per workload, so the
   // encode buffer is per-thread and reused: after warm-up a spill does no
@@ -121,10 +104,6 @@ std::optional<std::vector<uint8_t>> BlockManager::ReadFromDisk(const BlockId& id
   const uint64_t load_start_us = trace::Enabled() ? ProcessMicros() : 0;
   DiskOpResult op;
   auto bytes = disk_.Get(id, &op);
-  if (!bytes.has_value() && remote_read_) {
-    // Demoted inside a worker: its disk tier serves the read over the wire.
-    return remote_read_(id, ms);
-  }
   if (ms != nullptr) {
     *ms = op.elapsed_ms;
   }
@@ -148,9 +127,6 @@ void BlockManager::RemoveFromDisk(const BlockId& id) {
   const uint64_t size = disk_.Remove(id);
   if (size > 0 && metrics_ != nullptr) {
     metrics_->RecordDiskStoreDelta(-static_cast<int64_t>(size));
-  }
-  if (remote_remove_) {
-    remote_remove_(id);
   }
 }
 

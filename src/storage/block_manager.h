@@ -97,21 +97,7 @@ class BlockManager {
   uint64_t PendingSpillBytes() const;
 
   // Reads the encoded bytes of a spilled block; millis spent written to *ms.
-  // A local miss consults the remote-read hook (distributed mode): a block
-  // demoted inside a worker process serves its disk reads from there.
   std::optional<std::vector<uint8_t>> ReadFromDisk(const BlockId& id, double* ms);
-
-  // Distributed-mode hooks, set while quiesced (engine construction).
-  // remote_read: fetch the payload of a worker-held block after a local disk
-  // miss. remote_remove: drop a worker's disk copy when the coordinator drops
-  // the block from the disk tier.
-  using RemoteReadFn =
-      std::function<std::optional<std::vector<uint8_t>>(const BlockId&, double* ms)>;
-  using RemoteRemoveFn = std::function<void(const BlockId&)>;
-  void set_remote_hooks(RemoteReadFn read, RemoteRemoveFn remove) {
-    remote_read_ = std::move(read);
-    remote_remove_ = std::move(remove);
-  }
 
   // Drops the block from the given tiers, updating disk residency metrics.
   void RemoveFromMemory(const BlockId& id);
@@ -125,8 +111,6 @@ class BlockManager {
   MemoryStore memory_;
   DiskStore disk_;
   RunMetrics* metrics_;
-  RemoteReadFn remote_read_;
-  RemoteRemoveFn remote_remove_;
   bool sync_spill_;
   std::unique_ptr<SpillQueue> spill_;  // constructed last, destroyed first
 };

@@ -111,22 +111,11 @@ bool MemoryStore::PutInternal(const BlockId& id, BlockPtr data, uint64_t size_by
 
 void MemoryStore::Put(const BlockId& id, BlockPtr data, uint64_t size_bytes,
                       uint32_t tenant) {
-  // Offload (blocking RPC in distributed mode) happens before any shard lock.
-  if (offload_) {
-    if (BlockPtr stub = offload_(id, data, size_bytes)) {
-      data = std::move(stub);
-    }
-  }
   PutInternal(id, std::move(data), size_bytes, /*fatal=*/true, tenant);
 }
 
 bool MemoryStore::TryPut(const BlockId& id, BlockPtr data, uint64_t size_bytes,
                          uint32_t tenant, std::optional<uint64_t> recency) {
-  if (offload_) {
-    if (BlockPtr stub = offload_(id, data, size_bytes)) {
-      data = std::move(stub);
-    }
-  }
   return PutInternal(id, std::move(data), size_bytes, /*fatal=*/false, tenant, recency);
 }
 

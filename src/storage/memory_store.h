@@ -29,7 +29,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -59,16 +58,6 @@ class MemoryStore {
 
   explicit MemoryStore(uint64_t capacity_bytes, MemoryArbiter* arbiter = nullptr)
       : capacity_(capacity_bytes), arbiter_(arbiter) {}
-
-  // Distributed mode: a pre-insert transform that may ship the payload to a
-  // worker process and return a RemoteBlockStub to store in its place (null =
-  // keep the original block local). Runs *before* PutInternal, outside the
-  // shard lock — the hook does blocking RPC and must never run under a
-  // spinlock. The stub reports the same logical size, so reservations, the
-  // arbiter ledger, and the capacity bound are byte-identical either way.
-  // Set while quiesced (engine construction); read on the put path unlocked.
-  using OffloadHook = std::function<BlockPtr(const BlockId&, const BlockPtr&, uint64_t)>;
-  void set_offload_hook(OffloadHook hook) { offload_ = std::move(hook); }
 
   // Inserts (or replaces) a block. The caller must have made room: inserting
   // beyond the capacity bound is a checked error — the coordinator owns
@@ -185,7 +174,6 @@ class MemoryStore {
 
   uint64_t capacity_;
   MemoryArbiter* arbiter_;
-  OffloadHook offload_;
   std::atomic<uint64_t> used_{0};
   std::atomic<uint64_t> peak_{0};
   std::atomic<uint64_t> seq_{0};

@@ -1,5 +1,5 @@
-// Wire-protocol serialization tests: every message type round-trips through
-// its envelope, and hostile bytes — truncated frames, corrupted payloads, bad
+// Wire-protocol serialization tests: every job-service message round-trips
+// through its envelope, and hostile bytes — truncated frames, corrupted payloads, bad
 // magic, oversize lengths, short message bodies — surface as clean errors
 // (false / nullopt), never as crashes or garbage decoded into engine state.
 #include <sys/socket.h>
@@ -180,191 +180,101 @@ std::optional<Msg> DecodeEnvelope(const std::vector<uint8_t>& bytes, MsgType wan
   return Msg::Decode(src);
 }
 
-TEST(MessageTest, TaskLaunchRoundTrip) {
-  TaskLaunchMsg msg;
-  msg.job_id = 7;
-  msg.stage_id = 3;
-  msg.partition = 11;
-  msg.closure = "sum_u64";
-  msg.args = {1, 2, 3, 255};
-  const auto bytes = EncodeEnvelope(MsgType::kTaskLaunch, 42, msg);
-  const auto got = DecodeEnvelope<TaskLaunchMsg>(bytes, MsgType::kTaskLaunch, 42);
+TEST(MessageTest, JobSubmitRoundTrip) {
+  JobSubmitMsg msg;
+  msg.tenant = "analytics";
+  msg.workload = "pagerank";
+  msg.iterations = 5;
+  const auto bytes = EncodeEnvelope(MsgType::kJobSubmit, 42, msg);
+  const auto got = DecodeEnvelope<JobSubmitMsg>(bytes, MsgType::kJobSubmit, 42);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->job_id, 7);
-  EXPECT_EQ(got->stage_id, 3);
-  EXPECT_EQ(got->partition, 11u);
-  EXPECT_EQ(got->closure, "sum_u64");
-  EXPECT_EQ(got->args, msg.args);
+  EXPECT_EQ(got->tenant, "analytics");
+  EXPECT_EQ(got->workload, "pagerank");
+  EXPECT_EQ(got->iterations, 5);
 }
 
-TEST(MessageTest, TaskResultRoundTrip) {
-  TaskResultMsg msg;
-  msg.ok = false;
-  msg.error = "no such closure";
-  msg.payload = {9, 8, 7};
-  const auto bytes = EncodeEnvelope(MsgType::kTaskResult, 1, msg);
-  const auto got = DecodeEnvelope<TaskResultMsg>(bytes, MsgType::kTaskResult, 1);
+TEST(MessageTest, JobSubmitRespRoundTrip) {
+  JobSubmitRespMsg msg;
+  msg.accepted = false;
+  msg.server_job_id = -1;
+  msg.error = "unknown tenant";
+  const auto bytes = EncodeEnvelope(MsgType::kJobSubmitResp, 1, msg);
+  const auto got = DecodeEnvelope<JobSubmitRespMsg>(bytes, MsgType::kJobSubmitResp, 1);
   ASSERT_TRUE(got.has_value());
-  EXPECT_FALSE(got->ok);
-  EXPECT_EQ(got->error, "no such closure");
-  EXPECT_EQ(got->payload, msg.payload);
+  EXPECT_FALSE(got->accepted);
+  EXPECT_EQ(got->server_job_id, -1);
+  EXPECT_EQ(got->error, "unknown tenant");
 }
 
-TEST(MessageTest, BlockPutRoundTrip) {
-  BlockPutMsg msg;
-  msg.id = BlockId{12, 4};
-  msg.incarnation = 99;
-  msg.logical_bytes = 1 << 20;
-  msg.payload.assign(513, 0xAB);
-  const auto bytes = EncodeEnvelope(MsgType::kBlockPut, 5, msg);
-  const auto got = DecodeEnvelope<BlockPutMsg>(bytes, MsgType::kBlockPut, 5);
+TEST(MessageTest, JobStatusRoundTrip) {
+  JobStatusMsg msg;
+  msg.server_job_id = 1234567890123;
+  const auto bytes = EncodeEnvelope(MsgType::kJobStatus, 7, msg);
+  const auto got = DecodeEnvelope<JobStatusMsg>(bytes, MsgType::kJobStatus, 7);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->id, msg.id);
-  EXPECT_EQ(got->incarnation, 99u);
-  EXPECT_EQ(got->logical_bytes, 1u << 20);
-  EXPECT_EQ(got->payload, msg.payload);
+  EXPECT_EQ(got->server_job_id, 1234567890123);
 }
 
-TEST(MessageTest, BlockGetRoundTrip) {
-  BlockGetMsg msg;
-  msg.id = BlockId{3, 9};
-  const auto bytes = EncodeEnvelope(MsgType::kBlockGet, 6, msg);
-  const auto got = DecodeEnvelope<BlockGetMsg>(bytes, MsgType::kBlockGet, 6);
+TEST(MessageTest, JobStatusRespRoundTrip) {
+  JobStatusRespMsg msg;
+  msg.known = true;
+  msg.state = "done";
+  msg.detail = "rank sum 1000";
+  msg.elapsed_ms = 12.5;
+  const auto bytes = EncodeEnvelope(MsgType::kJobStatusResp, 8, msg);
+  const auto got = DecodeEnvelope<JobStatusRespMsg>(bytes, MsgType::kJobStatusResp, 8);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->id, msg.id);
+  EXPECT_TRUE(got->known);
+  EXPECT_EQ(got->state, "done");
+  EXPECT_EQ(got->detail, "rank sum 1000");
+  EXPECT_DOUBLE_EQ(got->elapsed_ms, 12.5);
 }
 
-TEST(MessageTest, BlockGetRespRoundTrip) {
-  BlockGetRespMsg msg;
-  msg.found = true;
-  msg.from_memory = false;
-  msg.payload = {0, 0, 1};
-  const auto bytes = EncodeEnvelope(MsgType::kBlockGetResp, 7, msg);
-  const auto got = DecodeEnvelope<BlockGetRespMsg>(bytes, MsgType::kBlockGetResp, 7);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(got->found);
-  EXPECT_FALSE(got->from_memory);
-  EXPECT_EQ(got->payload, msg.payload);
+TEST(MessageTest, TenantStatsRoundTrip) {
+  const auto bytes = EncodeEnvelope(MsgType::kTenantStats, 9, TenantStatsMsg{});
+  EXPECT_TRUE(DecodeEnvelope<TenantStatsMsg>(bytes, MsgType::kTenantStats, 9).has_value());
 }
 
-TEST(MessageTest, BlockRemoveRoundTrip) {
-  BlockRemoveMsg msg;
-  msg.id = BlockId{8, 2};
-  msg.incarnation = 17;
-  msg.include_memory = false;
-  msg.include_disk = true;
-  const auto bytes = EncodeEnvelope(MsgType::kBlockRemove, 8, msg);
-  const auto got = DecodeEnvelope<BlockRemoveMsg>(bytes, MsgType::kBlockRemove, 8);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->id, msg.id);
-  EXPECT_EQ(got->incarnation, 17u);
-  EXPECT_FALSE(got->include_memory);
-  EXPECT_TRUE(got->include_disk);
+// Two rows with every field distinct, so a swapped or dropped field shows.
+TenantStatsRespMsg TwoTenantStats() {
+  TenantStatsRespMsg msg;
+  for (int i = 0; i < 2; ++i) {
+    TenantStatRow row;
+    row.name = i == 0 ? "quiet" : "churn";
+    row.share_bytes = 1000 + i;
+    row.used_bytes = 2000 + i;
+    row.borrowed_bytes = 3000 + i;
+    row.jobs_running = 4 + i;
+    row.jobs_queued = 6 + i;
+    row.jobs_completed = 8000 + i;
+    row.jobs_rejected = 9000 + i;
+    row.cache_hits = 10000 + i;
+    row.cache_misses = 11000 + i;
+    msg.tenants.push_back(row);
+  }
+  return msg;
 }
 
-TEST(MessageTest, BucketPutRoundTrip) {
-  BucketPutMsg msg;
-  msg.shuffle_id = 5;
-  msg.map_part = 2;
-  msg.reduce_part = 6;
-  msg.incarnation = 31;
-  msg.payload = {4, 5, 6};
-  const auto bytes = EncodeEnvelope(MsgType::kBucketPut, 9, msg);
-  const auto got = DecodeEnvelope<BucketPutMsg>(bytes, MsgType::kBucketPut, 9);
+TEST(MessageTest, TenantStatsRespRoundTrip) {
+  const TenantStatsRespMsg msg = TwoTenantStats();
+  const auto bytes = EncodeEnvelope(MsgType::kTenantStatsResp, 10, msg);
+  const auto got = DecodeEnvelope<TenantStatsRespMsg>(bytes, MsgType::kTenantStatsResp, 10);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->shuffle_id, 5);
-  EXPECT_EQ(got->map_part, 2u);
-  EXPECT_EQ(got->reduce_part, 6u);
-  EXPECT_EQ(got->incarnation, 31u);
-  EXPECT_EQ(got->payload, msg.payload);
-}
-
-TEST(MessageTest, BucketFetchRoundTrip) {
-  BucketFetchMsg msg;
-  msg.shuffle_id = 4;
-  msg.map_part = 1;
-  msg.reduce_part = 3;
-  const auto bytes = EncodeEnvelope(MsgType::kBucketFetch, 10, msg);
-  const auto got = DecodeEnvelope<BucketFetchMsg>(bytes, MsgType::kBucketFetch, 10);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->shuffle_id, 4);
-  EXPECT_EQ(got->map_part, 1u);
-  EXPECT_EQ(got->reduce_part, 3u);
-}
-
-TEST(MessageTest, BucketFetchRespRoundTrip) {
-  BucketFetchRespMsg msg;
-  msg.found = true;
-  msg.payload = {42};
-  const auto bytes = EncodeEnvelope(MsgType::kBucketFetchResp, 11, msg);
-  const auto got = DecodeEnvelope<BucketFetchRespMsg>(bytes, MsgType::kBucketFetchResp, 11);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(got->found);
-  EXPECT_EQ(got->payload, msg.payload);
-}
-
-TEST(MessageTest, BucketRemoveRoundTrip) {
-  BucketRemoveMsg msg;
-  msg.shuffle_id = 2;
-  msg.map_part = 7;
-  msg.reduce_part = 0;
-  msg.incarnation = 55;
-  msg.all = true;
-  const auto bytes = EncodeEnvelope(MsgType::kBucketRemove, 12, msg);
-  const auto got = DecodeEnvelope<BucketRemoveMsg>(bytes, MsgType::kBucketRemove, 12);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->shuffle_id, 2);
-  EXPECT_EQ(got->map_part, 7u);
-  EXPECT_EQ(got->reduce_part, 0u);
-  EXPECT_EQ(got->incarnation, 55u);
-  EXPECT_TRUE(got->all);
-}
-
-TEST(MessageTest, HeartbeatRoundTrip) {
-  HeartbeatMsg msg;
-  msg.seq = 1234567;
-  const auto bytes = EncodeEnvelope(MsgType::kHeartbeat, 13, msg);
-  const auto got = DecodeEnvelope<HeartbeatMsg>(bytes, MsgType::kHeartbeat, 13);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->seq, 1234567u);
-}
-
-TEST(MessageTest, HeartbeatAckRoundTrip) {
-  HeartbeatAckMsg msg;
-  msg.seq = 88;
-  msg.stats.pid = 4242;
-  msg.stats.live_bytes = 1 << 16;
-  msg.stats.disk_bytes = 1 << 18;
-  msg.stats.block_count = 12;
-  msg.stats.bucket_count = 34;
-  msg.stats.bucket_bytes = 1 << 10;
-  msg.stats.pinned_blocks = 2;
-  msg.stats.inflight_tasks = 1;
-  msg.stats.tasks_executed = 900;
-  const auto bytes = EncodeEnvelope(MsgType::kHeartbeatAck, 14, msg);
-  const auto got = DecodeEnvelope<HeartbeatAckMsg>(bytes, MsgType::kHeartbeatAck, 14);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->seq, 88u);
-  EXPECT_EQ(got->stats.pid, 4242);
-  EXPECT_EQ(got->stats.live_bytes, 1u << 16);
-  EXPECT_EQ(got->stats.disk_bytes, 1u << 18);
-  EXPECT_EQ(got->stats.block_count, 12u);
-  EXPECT_EQ(got->stats.bucket_count, 34u);
-  EXPECT_EQ(got->stats.bucket_bytes, 1u << 10);
-  EXPECT_EQ(got->stats.pinned_blocks, 2u);
-  EXPECT_EQ(got->stats.inflight_tasks, 1u);
-  EXPECT_EQ(got->stats.tasks_executed, 900u);
-}
-
-TEST(MessageTest, AckRoundTrip) {
-  AckMsg msg;
-  msg.ok = false;
-  msg.error = "incarnation mismatch";
-  const auto bytes = EncodeEnvelope(MsgType::kAck, 15, msg);
-  const auto got = DecodeEnvelope<AckMsg>(bytes, MsgType::kAck, 15);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_FALSE(got->ok);
-  EXPECT_EQ(got->error, "incarnation mismatch");
+  ASSERT_EQ(got->tenants.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const TenantStatRow& want = msg.tenants[i];
+    const TenantStatRow& row = got->tenants[i];
+    EXPECT_EQ(row.name, want.name);
+    EXPECT_EQ(row.share_bytes, want.share_bytes);
+    EXPECT_EQ(row.used_bytes, want.used_bytes);
+    EXPECT_EQ(row.borrowed_bytes, want.borrowed_bytes);
+    EXPECT_EQ(row.jobs_running, want.jobs_running);
+    EXPECT_EQ(row.jobs_queued, want.jobs_queued);
+    EXPECT_EQ(row.jobs_completed, want.jobs_completed);
+    EXPECT_EQ(row.jobs_rejected, want.jobs_rejected);
+    EXPECT_EQ(row.cache_hits, want.cache_hits);
+    EXPECT_EQ(row.cache_misses, want.cache_misses);
+  }
 }
 
 // --- malformed bodies -------------------------------------------------------
@@ -387,87 +297,64 @@ void ExpectTruncationsFailCleanly(const Msg& msg, MsgType type) {
 }
 
 TEST(MessageTest, TruncatedBodiesFailCleanly) {
-  TaskLaunchMsg launch;
-  launch.job_id = 1;
-  launch.closure = "ping";
-  launch.args = {1, 2, 3, 4, 5, 6, 7, 8};
-  ExpectTruncationsFailCleanly(launch, MsgType::kTaskLaunch);
+  JobSubmitMsg submit;
+  submit.tenant = "t";
+  submit.workload = "kmeans";
+  submit.iterations = 3;
+  ExpectTruncationsFailCleanly(submit, MsgType::kJobSubmit);
 
-  TaskResultMsg result;
-  result.ok = true;
-  result.error = "e";
-  result.payload = {1, 2, 3};
-  ExpectTruncationsFailCleanly(result, MsgType::kTaskResult);
+  JobSubmitRespMsg submit_resp;
+  submit_resp.accepted = true;
+  submit_resp.server_job_id = 17;
+  submit_resp.error = "e";
+  ExpectTruncationsFailCleanly(submit_resp, MsgType::kJobSubmitResp);
 
-  BlockPutMsg put;
-  put.id = BlockId{1, 2};
-  put.incarnation = 3;
-  put.logical_bytes = 4;
-  put.payload = {5, 6, 7};
-  ExpectTruncationsFailCleanly(put, MsgType::kBlockPut);
+  JobStatusMsg status;
+  status.server_job_id = 17;
+  ExpectTruncationsFailCleanly(status, MsgType::kJobStatus);
 
-  BlockGetMsg get;
-  get.id = BlockId{1, 2};
-  ExpectTruncationsFailCleanly(get, MsgType::kBlockGet);
+  JobStatusRespMsg status_resp;
+  status_resp.known = true;
+  status_resp.state = "running";
+  status_resp.detail = "d";
+  status_resp.elapsed_ms = 1.0;
+  ExpectTruncationsFailCleanly(status_resp, MsgType::kJobStatusResp);
 
-  BlockGetRespMsg get_resp;
-  get_resp.found = true;
-  get_resp.payload = {1};
-  ExpectTruncationsFailCleanly(get_resp, MsgType::kBlockGetResp);
+  // The request has an empty body: only cuts inside the header exist, and
+  // they must fail in MessageHeader::Decode.
+  ExpectTruncationsFailCleanly(TenantStatsMsg{}, MsgType::kTenantStats);
 
-  BlockRemoveMsg remove;
-  remove.id = BlockId{1, 2};
-  remove.incarnation = 3;
-  ExpectTruncationsFailCleanly(remove, MsgType::kBlockRemove);
-
-  BucketPutMsg bput;
-  bput.shuffle_id = 1;
-  bput.payload = {1, 2};
-  ExpectTruncationsFailCleanly(bput, MsgType::kBucketPut);
-
-  BucketFetchMsg bfetch;
-  bfetch.shuffle_id = 1;
-  ExpectTruncationsFailCleanly(bfetch, MsgType::kBucketFetch);
-
-  BucketFetchRespMsg bresp;
-  bresp.found = true;
-  bresp.payload = {1};
-  ExpectTruncationsFailCleanly(bresp, MsgType::kBucketFetchResp);
-
-  BucketRemoveMsg bremove;
-  bremove.shuffle_id = 1;
-  ExpectTruncationsFailCleanly(bremove, MsgType::kBucketRemove);
-
-  HeartbeatMsg hb;
-  hb.seq = 123456789;  // multi-byte varint
-  ExpectTruncationsFailCleanly(hb, MsgType::kHeartbeat);
-
-  HeartbeatAckMsg ack;
-  ack.seq = 123456789;
-  ack.stats.tasks_executed = 1;
-  ExpectTruncationsFailCleanly(ack, MsgType::kHeartbeatAck);
-
-  AckMsg plain;
-  plain.ok = false;
-  plain.error = "boom";
-  ExpectTruncationsFailCleanly(plain, MsgType::kAck);
+  ExpectTruncationsFailCleanly(TwoTenantStats(), MsgType::kTenantStatsResp);
 }
 
 TEST(MessageTest, LyingLengthPrefixFailsCleanly) {
-  // A payload length prefix claiming more bytes than the body carries must
+  // A string length prefix claiming more bytes than the body carries must
   // not over-read. Craft: header + varint(1000) + 3 actual bytes.
   ByteSink sink;
-  MessageHeader{MsgType::kTaskResult, 1}.EncodeTo(sink);
-  sink.WritePod<uint8_t>(1);  // ok = true
-  WriteString(sink, "");      // empty error
-  sink.WriteVarint(1000);     // payload length lie
-  sink.WritePod<uint8_t>(1);
-  sink.WritePod<uint8_t>(2);
-  sink.WritePod<uint8_t>(3);
+  MessageHeader{MsgType::kJobSubmit, 1}.EncodeTo(sink);
+  sink.WriteVarint(1000);  // tenant length lie
+  sink.WritePod<uint8_t>('a');
+  sink.WritePod<uint8_t>('b');
+  sink.WritePod<uint8_t>('c');
   const auto bytes = sink.TakeData();
   ByteSource src(bytes);
   ASSERT_TRUE(MessageHeader::Decode(src).has_value());
-  EXPECT_FALSE(TaskResultMsg::Decode(src).has_value());
+  EXPECT_FALSE(JobSubmitMsg::Decode(src).has_value());
+}
+
+TEST(MessageTest, OversizeTenantCountFailsCleanly) {
+  // A row count past the 4096 bound is rejected before any reserve(), even
+  // though the rows that follow are well formed.
+  TenantStatsRespMsg two = TwoTenantStats();
+  ByteSink rows;
+  two.EncodeTo(rows);
+  ByteSink sink;
+  sink.WriteVarint(4097);
+  const std::vector<uint8_t> row_bytes = rows.TakeData();
+  sink.WriteRaw(row_bytes.data() + 1, row_bytes.size() - 1);  // skip count 2
+  const auto bytes = sink.TakeData();
+  ByteSource src(bytes);
+  EXPECT_FALSE(TenantStatsRespMsg::Decode(src).has_value());
 }
 
 TEST(MessageTest, EmptySourceHeaderFailsCleanly) {
@@ -477,8 +364,20 @@ TEST(MessageTest, EmptySourceHeaderFailsCleanly) {
 }
 
 TEST(MessageTest, MsgTypeNamesCoverProtocol) {
-  for (uint8_t raw = 1; raw <= 14; ++raw) {
-    EXPECT_STRNE(MsgTypeName(static_cast<MsgType>(raw)), "");
+  for (uint8_t raw = 15; raw <= 20; ++raw) {
+    EXPECT_STRNE(MsgTypeName(static_cast<MsgType>(raw)), "unknown") << int{raw};
+  }
+}
+
+TEST(MessageTest, HeaderRejectsRetiredAndUnknownTypes) {
+  for (int raw = 0; raw <= 255; ++raw) {
+    ByteSink sink;
+    sink.WritePod<uint8_t>(static_cast<uint8_t>(raw));
+    sink.WritePod<uint64_t>(1);
+    const auto bytes = sink.TakeData();
+    ByteSource src(bytes);
+    const bool accepted = MessageHeader::Decode(src).has_value();
+    EXPECT_EQ(accepted, raw >= 15 && raw <= 20) << "message type " << raw;
   }
 }
 

@@ -384,5 +384,33 @@ TEST(TenantTest, JobServerSubmitStatusStats) {
   server.Stop();
 }
 
+// A submit is not idempotent: if the connection drops after the server got
+// the frame, resending could start the job again. The client must send it
+// exactly once; the read verbs still retry.
+TEST(TenantTest, SubmitIsSentOnceWhenTheConnectionDrops) {
+  std::atomic<int> submits{0};
+  std::atomic<int> stats_requests{0};
+  net::RpcServer server(/*port=*/0, [&](const net::MessageHeader& header, ByteSource&) {
+    if (header.type == net::MsgType::kJobSubmit) {
+      submits.fetch_add(1);
+    } else if (header.type == net::MsgType::kTenantStats) {
+      stats_requests.fetch_add(1);
+    }
+    return std::vector<uint8_t>{};  // drop the connection without answering
+  });
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  BlazeServiceClient client(server.port());
+  int64_t job_id = -1;
+  EXPECT_FALSE(client.Submit("gold", "count", /*iterations=*/1, &job_id, &error));
+  EXPECT_EQ(submits.load(), 1);
+
+  std::vector<net::TenantStatRow> stats;
+  EXPECT_FALSE(client.Stats(&stats, &error));
+  EXPECT_EQ(stats_requests.load(), 3);
+  server.Stop();
+}
+
 }  // namespace
 }  // namespace blaze

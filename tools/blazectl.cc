@@ -411,55 +411,6 @@ void RenderTop(const json::Value& snap, int port) {
   std::cout << mem.Render("memory");
 
   RenderTenants(snap);
-
-  // Distributed mode only: one row per worker process, fed by heartbeat acks
-  // (worker.<slot>.* gauges exist only when the engine runs with workers).
-  const json::Value* gauges = snap.Find("gauges");
-  std::set<int> worker_slots;
-  if (gauges != nullptr && gauges->is_object()) {
-    for (const auto& [key, value] : gauges->as_object()) {
-      int slot = -1;
-      if (std::sscanf(key.c_str(), "worker.%d.", &slot) == 1) {
-        worker_slots.insert(slot);
-      }
-    }
-  }
-  if (!worker_slots.empty()) {
-    TextTable workers;
-    workers.AddRow({"worker", "alive", "cached", "disk", "blocks", "buckets", "pinned",
-                    "inflight", "tasks", "hb age"});
-    for (const int slot : worker_slots) {
-      const std::string prefix = "worker." + std::to_string(slot) + ".";
-      const auto gauge = [&](const char* name) {
-        return StatCounter(snap, "gauges", (prefix + name).c_str());
-      };
-      workers.AddRow({std::to_string(slot), gauge("alive") != 0 ? "yes" : "NO",
-                      FormatBytes(gauge("live_bytes")), FormatBytes(gauge("disk_bytes")),
-                      std::to_string(gauge("blocks")), std::to_string(gauge("buckets")),
-                      std::to_string(gauge("pinned_blocks")),
-                      std::to_string(gauge("inflight_tasks")),
-                      std::to_string(gauge("tasks_executed")),
-                      FormatMillis(static_cast<double>(gauge("heartbeat_age_ms")))});
-    }
-    std::cout << workers.Render("workers");
-
-    TextTable wire;
-    wire.AddRow({"wire", "block puts", "block fetches", "bucket puts", "bucket fetches",
-                 "retries", "failures", "lost/restarted"});
-    wire.AddRow({"",
-                 std::to_string(StatCounter(snap, "gauges", "net.block_puts")) + " (" +
-                     FormatBytes(StatCounter(snap, "gauges", "net.block_put_bytes")) + ")",
-                 std::to_string(StatCounter(snap, "gauges", "net.block_fetches")) + " (" +
-                     FormatBytes(StatCounter(snap, "gauges", "net.block_fetch_bytes")) +
-                     ")",
-                 std::to_string(StatCounter(snap, "gauges", "net.bucket_puts")),
-                 std::to_string(StatCounter(snap, "gauges", "net.bucket_fetches")),
-                 std::to_string(StatCounter(snap, "gauges", "net.rpc_retries")),
-                 std::to_string(StatCounter(snap, "gauges", "net.rpc_failures")),
-                 std::to_string(StatCounter(snap, "gauges", "net.workers_lost")) + "/" +
-                     std::to_string(StatCounter(snap, "gauges", "net.worker_restarts"))});
-    std::cout << wire.Render("wire");
-  }
 }
 
 // Strict endpoint validation: /stats must parse as a JSON object with the

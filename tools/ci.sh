@@ -167,15 +167,6 @@ tenant_smoke() {
   "./$build_dir/tools/tenant_smoke"
 }
 
-dist_smoke() {
-  # Distributed-mode smoke: coordinator + 2 worker processes over the real
-  # wire protocol must produce results byte-identical to in-process mode,
-  # and a SIGKILLed worker must be detected, respawned, and recovered from
-  # through lineage. See tools/dist_smoke.cc for the phase breakdown.
-  echo "=== [plain] distributed smoke ==="
-  ./build/tools/dist_smoke
-}
-
 bench_smoke() {
   # Benchmark smoke: every benchmark workload at a tenth of its inputs, one
   # round each. run.sh exits nonzero on a build failure or on any wrong
@@ -225,7 +216,6 @@ if [[ "$mode" == "plain" || "$mode" == "all" ]]; then
   micro_trace_smoke
   traffic_slo_smoke
   tenant_smoke build
-  dist_smoke
   bench_smoke
   perf_smoke
 fi
@@ -254,13 +244,14 @@ if [[ "$mode" == "asan" || "$mode" == "all" ]]; then
   # the async spill queue, and disk round trips end to end. cache_policy
   # rides along: disk-hit promotion keeps blocks decoded on the task path
   # (arena-backed columnar pairs) resident after the reading task ends.
+  # net_frame too: its decoders parse bytes from blaze_serve's TCP port.
   echo "=== [asan] configure+build ==="
   cmake -B build-asan -S . -DBLAZE_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j "$jobs"
   echo "=== [asan] ctest (storage/columnar subset) ==="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-      -R 'columnar_arena|storage|spill_pipeline|memory_arbiter|serialize|dataflow|fusion|vectorized|cache_policy'
+      -R 'columnar_arena|storage|spill_pipeline|memory_arbiter|serialize|dataflow|fusion|vectorized|cache_policy|net_frame'
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" spill_smoke build-asan
 fi
 

@@ -5,14 +5,9 @@
 //   trace_validate TRACE.json [TRACE2.json ...] [--audit FILE.jsonl]
 //                  [--require-span NAME]... [--require-audit KIND]...
 //                  [--require-overlap NAME ARG]... [--summary]
-//                  [--merge OUT.json]
 //
-// Multiple trace files may be given; every file is validated and the
-// --require-* checks apply to their union. --merge OUT.json additionally
-// stitches all inputs into one Chrome trace — events keep their per-process
-// "pid" tag (distributed runs export one trace per process, each tagged with
-// its real pid), so the merged timeline shows coordinator and workers as
-// separate process lanes.
+// Multiple trace files may be given (e.g. the exports of several runs);
+// every file is validated and the --require-* checks apply to their union.
 //
 // --summary additionally prints, after validation, a per-(category, span)
 // duration table — count, mean, p50/p95/p99, max — plus a rollup line per
@@ -34,11 +29,9 @@
 // --require-audit is given explicitly.
 // Exits 0 on success; prints the first failure and exits 1 otherwise.
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -84,66 +77,13 @@ std::string Stringify(const blaze::json::Value& value) {
   return "?";
 }
 
-// Re-serializes a parsed document for --merge. Integral numbers print as
-// integers (pid/tid/ts must not come back as 1.4132e+09).
-void WriteJson(const blaze::json::Value& value, std::ostream& os) {
-  using blaze::json::Value;
-  switch (value.type()) {
-    case Value::Type::kNull:
-      os << "null";
-      break;
-    case Value::Type::kBool:
-      os << (value.as_bool() ? "true" : "false");
-      break;
-    case Value::Type::kNumber: {
-      const double d = value.as_number();
-      if (d == std::floor(d) && std::fabs(d) < 9.0e18) {
-        os << static_cast<long long>(d);
-      } else {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", d);
-        os << buf;
-      }
-      break;
-    }
-    case Value::Type::kString:
-      os << '"' << blaze::json::Escape(value.as_string()) << '"';
-      break;
-    case Value::Type::kArray: {
-      os << '[';
-      bool first = true;
-      for (const Value& element : value.as_array()) {
-        os << (first ? "" : ",");
-        first = false;
-        WriteJson(element, os);
-      }
-      os << ']';
-      break;
-    }
-    case Value::Type::kObject: {
-      os << '{';
-      bool first = true;
-      for (const auto& [key, member] : value.as_object()) {
-        os << (first ? "" : ",") << '"' << blaze::json::Escape(key) << "\":";
-        first = false;
-        WriteJson(member, os);
-      }
-      os << '}';
-      break;
-    }
-  }
-}
-
 // Validation accumulators shared across all input trace files.
 struct TraceState {
   std::map<std::string, uint64_t> span_counts;
   std::map<size_t, std::vector<SpanInstance>> overlap_spans;  // overlap-req index
   // --summary accumulators: category -> span name -> duration histogram.
   std::map<std::string, std::map<std::string, blaze::LatencyHistogram>> span_hists;
-  std::set<long long> pids;
   uint64_t num_events = 0;
-  double dropped_events = 0.0;
-  std::vector<blaze::json::Value> merge_events;  // populated only when merging
 };
 
 }  // namespace
@@ -151,7 +91,6 @@ struct TraceState {
 int main(int argc, char** argv) {
   std::vector<std::string> trace_paths;
   std::string audit_path;
-  std::string merge_path;
   std::vector<std::string> required_spans;
   std::vector<std::string> required_audits;
   std::vector<std::pair<std::string, std::string>> required_overlaps;  // (span, arg key)
@@ -160,8 +99,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--audit" && i + 1 < argc) {
       audit_path = argv[++i];
-    } else if (arg == "--merge" && i + 1 < argc) {
-      merge_path = argv[++i];
     } else if (arg == "--require-span" && i + 1 < argc) {
       required_spans.push_back(argv[++i]);
     } else if (arg == "--require-audit" && i + 1 < argc) {
@@ -181,7 +118,7 @@ int main(int argc, char** argv) {
     return Fail(
         "usage: trace_validate TRACE.json [TRACE2.json ...] [--audit FILE.jsonl] "
         "[--require-span NAME]... [--require-audit KIND]... "
-        "[--require-overlap NAME ARG]... [--merge OUT.json]");
+        "[--require-overlap NAME ARG]... [--summary]");
   }
   const bool check_audit =
       trace_paths.size() == 1 || !audit_path.empty() || !required_audits.empty();
@@ -210,13 +147,6 @@ int main(int argc, char** argv) {
     if (events->as_array().empty()) {
       return Fail(trace_path + ": traceEvents is empty");
     }
-    if (const blaze::json::Value* other = doc->Find("otherData")) {
-      if (const blaze::json::Value* dropped = other->Find("dropped_events")) {
-        if (dropped->is_number()) {
-          state.dropped_events += dropped->as_number();
-        }
-      }
-    }
     for (const blaze::json::Value& event : events->as_array()) {
       if (!event.is_object()) {
         return Fail(trace_path + ": traceEvents entry is not an object");
@@ -225,13 +155,6 @@ int main(int argc, char** argv) {
       const blaze::json::Value* ph = event.Find("ph");
       if (name == nullptr || !name->is_string() || ph == nullptr || !ph->is_string()) {
         return Fail(trace_path + ": event without string name/ph");
-      }
-      const blaze::json::Value* pid = event.Find("pid");
-      if (pid != nullptr && pid->is_number()) {
-        state.pids.insert(static_cast<long long>(pid->as_number()));
-      }
-      if (!merge_path.empty()) {
-        state.merge_events.push_back(event);
       }
       if (ph->as_string() == "M") {
         continue;  // thread_name metadata
@@ -292,30 +215,6 @@ int main(int argc, char** argv) {
       return Fail("no two overlapping '" + span + "' spans with distinct args." + arg_key +
                   " (" + std::to_string(instances.size()) + " instances)");
     }
-  }
-
-  // --- merge ----------------------------------------------------------------
-  if (!merge_path.empty()) {
-    std::ofstream out(merge_path, std::ios::trunc);
-    if (!out) {
-      return Fail("cannot write " + merge_path);
-    }
-    out << "{\"traceEvents\":[";
-    bool first = true;
-    for (const blaze::json::Value& event : state.merge_events) {
-      out << (first ? "" : ",");
-      first = false;
-      WriteJson(event, out);
-    }
-    out << "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":"
-        << static_cast<long long>(state.dropped_events)
-        << ",\"merged_traces\":" << trace_paths.size()
-        << ",\"merged_pids\":" << state.pids.size() << "}}";
-    if (!out.good()) {
-      return Fail("write failed for " + merge_path);
-    }
-    std::fprintf(stderr, "trace_validate: merged %zu trace(s), %zu process id(s) -> %s\n",
-                 trace_paths.size(), state.pids.size(), merge_path.c_str());
   }
 
   // --- audit file -----------------------------------------------------------

@@ -46,7 +46,5 @@ int main(int argc, char** argv) {
                   std::to_string(snap.evictions_to_disk + snap.evictions_discard)});
   }
   std::cout << table.Render("Ablation: ILP window size (PR, full Blaze)");
-  std::cout << "Expected shape: window 2 (the paper's choice) captures the cross-job\n"
-               "references; larger windows mostly add solver time.\n";
   return 0;
 }

@@ -47,9 +47,5 @@ int main(int argc, char** argv) {
   }
   std::cout << table.Render(
       "Ablation: shuffle retention vs recomputation cost (PR, MEM_ONLY LRU)");
-  std::cout << "Measured shape: keep-all is never worse; aggressive cleanup adds a modest\n"
-               "recompute penalty (rebuilt buckets are re-registered and amortized by later\n"
-               "recoveries in the same job, so single-digit-percent at this scale). This\n"
-               "validates the engine's retain-everything default as the conservative choice.\n";
   return 0;
 }

@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
   std::cout << table.Render("Fig. 3: evicted data per executor (PR, MEM+DISK, LRU)");
   std::cout << "max/min eviction skew across executors: "
             << Fmt(static_cast<double>(max_bytes) / std::max<uint64_t>(1, min_bytes), 2)
-            << "x\nPaper shape: clearly non-uniform eviction volumes despite even task "
-               "placement.\n";
+            << "x\n";
   return 0;
 }

@@ -22,7 +22,5 @@ int main(int argc, char** argv) {
   }
   std::cout << table.Render(
       "Fig. 4: accumulated task time breakdown on MEM+DISK Spark (LRU)");
-  std::cout << "Paper shape: disk I/O is a major share for the graph workloads (PR/CC)\n"
-               "and SVD++ (serialization-heavy); LR has the smallest share.\n";
   return 0;
 }

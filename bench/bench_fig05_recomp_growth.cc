@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
   }
   std::cout << table.Render("Fig. 5: PR recomputation time per iteration (MEM_ONLY Spark)");
   std::cout << "first-half total: " << Fmt(early, 1) << " ms, second-half total: "
-            << Fmt(late, 1) << " ms (ratio " << Fmt(late / std::max(1.0, early), 2) << "x)\n"
-            << "Paper shape: recomputation grows over iterations as lineages lengthen.\n";
+            << Fmt(late, 1) << " ms (ratio " << Fmt(late / std::max(1.0, early), 2) << "x)\n";
   return 0;
 }

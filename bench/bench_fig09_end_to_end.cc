@@ -62,8 +62,6 @@ int main(int argc, char** argv) {
     std::cout << "." << std::flush;
   }
   std::cout << "\n"
-            << table.Render("Fig. 9: end-to-end ACT per system (lower is better)")
-            << "\nPaper shape: Blaze fastest everywhere; MEM+DISK worse than MEM on the\n"
-               "graph workloads (PR/CC) where spilled data is huge; LR gap smallest.\n";
+            << table.Render("Fig. 9: end-to-end ACT per system (lower is better)");
   return 0;
 }

@@ -30,7 +30,5 @@ int main(int argc, char** argv) {
     }
     std::cout << table.Render("Fig. 10 breakdown: " + workload) << "\n";
   }
-  std::cout << "Paper shape: Blaze's disk column collapses (95%+ reduction vs MEM+DISK);\n"
-               "MEM_ONLY shows no disk but large recompute; Alluxio pays (de)ser on hits.\n";
   return 0;
 }

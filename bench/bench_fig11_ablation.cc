@@ -50,9 +50,5 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n" << table.Render("Fig. 11: Blaze component ablation (ACT)") << "\n"
             << disk_table.Render("Fig. 11 supplement: cache bytes written to disk");
-  std::cout << "Paper shape: AutoCache provides the bulk of the ACT gain; the cost model\n"
-               "and ILP further cut the disk traffic (full Blaze writes nearly nothing)\n"
-               "and refine eviction choices where the reused working set itself is\n"
-               "memory-contended.\n";
   return 0;
 }

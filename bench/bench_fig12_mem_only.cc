@@ -39,8 +39,5 @@ int main(int argc, char** argv) {
             << "\n"
             << recompute.Render(
                    "Fig. 12b: accumulated recomputation time of evicted data (ms)");
-  std::cout << "Paper shape: Blaze(MEM) incurs no evictions in LR (only reused data is\n"
-               "cached) and far lower recomputation time than LRU everywhere, even when\n"
-               "its eviction count is not the lowest (it evicts cheap-to-recover data).\n";
   return 0;
 }

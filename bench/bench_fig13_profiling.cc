@@ -23,9 +23,6 @@ int main(int argc, char** argv) {
     std::cout << "." << std::flush;
   }
   std::cout << "\n"
-            << table.Render("Fig. 13: Blaze with vs without dependency profiling")
-            << "Paper shape: profiling pays for itself (normalized ACT < 1, largest gain\n"
-               "for the graph workloads with cross-job references); overhead is a few\n"
-               "percent of ACT.\n";
+            << table.Render("Fig. 13: Blaze with vs without dependency profiling");
   return 0;
 }

@@ -1,11 +1,9 @@
-// Micro-benchmarks for pipelined narrow-stage execution: the same operator
-// chains run with fusion on (one pipelined compute per partition, no
-// intermediate blocks) and off (one materialized block per operator, the
-// pre-fusion behavior via the enable_fusion kill switch), plus copy-vs-view
-// for the zero-copy Union/Coalesce block paths, plus vectorized-vs-row
-// execution of the same fused chains over columnar-cached pair sources. The
-// headline comparisons: fused beats unfused by >= 1.5x on the 3-op POD chain,
-// and the vectorized path beats the fused row path on POD pair chains.
+// Micro-benchmarks for pipelined narrow-stage execution: operator chains run
+// fused (one pipelined compute per partition, no intermediate blocks), plus
+// copy-vs-view for the zero-copy Union/Coalesce block paths, plus
+// vectorized-vs-row execution of the same fused chains over columnar-cached
+// pair sources. The headline comparison: the vectorized path beats the fused
+// row path on POD pair chains.
 //
 // CI floor (enforced after the google-benchmark run, exit 1 on miss):
 //   BLAZE_MICRO_PIPELINE_MIN_VEC_SPEEDUP  vectorized vs row-at-a-time fused
@@ -33,12 +31,11 @@ namespace {
 constexpr int kRowsPerPartition = 256 * 1024;
 constexpr uint32_t kPartitions = 8;
 
-EngineConfig BenchConfig(bool fused, bool vectorized = true) {
+EngineConfig BenchConfig(bool vectorized = true) {
   EngineConfig config;
   config.num_executors = 2;
   config.threads_per_executor = 2;
   config.memory_capacity_per_executor = MiB(512);
-  config.enable_fusion = fused;
   config.enable_vectorized = vectorized;
   return config;
 }
@@ -88,8 +85,8 @@ RddPtr<std::string> StringChain3(RddPtr<std::string> base) {
       ->Map([](const std::string& s) { return s.substr(0, s.size() - 1); });
 }
 
-void RunPodChain(benchmark::State& state, bool fused, bool deep) {
-  EngineContext engine(BenchConfig(fused));
+void RunPodChain(benchmark::State& state, bool deep) {
+  EngineContext engine(BenchConfig());
   InstallCache(&engine);
   auto base = IntSource(&engine);
   base->Cache();
@@ -102,14 +99,10 @@ void RunPodChain(benchmark::State& state, bool fused, bool deep) {
                           kPartitions);
 }
 
-void BM_PodChain3_Fused(benchmark::State& state) { RunPodChain(state, true, false); }
-void BM_PodChain3_Unfused(benchmark::State& state) { RunPodChain(state, false, false); }
-void BM_PodChain6_Fused(benchmark::State& state) { RunPodChain(state, true, true); }
-void BM_PodChain6_Unfused(benchmark::State& state) { RunPodChain(state, false, true); }
+void BM_PodChain3_Fused(benchmark::State& state) { RunPodChain(state, false); }
+void BM_PodChain6_Fused(benchmark::State& state) { RunPodChain(state, true); }
 BENCHMARK(BM_PodChain3_Fused)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PodChain3_Unfused)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PodChain6_Fused)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PodChain6_Unfused)->Unit(benchmark::kMillisecond);
 
 // --- vectorized vs row-at-a-time fused execution -----------------------------------
 //
@@ -165,7 +158,7 @@ RddPtr<uint64_t> U64ChainWide(RddPtr<uint64_t> base) {
 }
 
 void RunPairChain(benchmark::State& state, bool vectorized) {
-  EngineContext engine(BenchConfig(/*fused=*/true, vectorized));
+  EngineContext engine(BenchConfig(vectorized));
   InstallCache(&engine);
   auto base = PairSource(&engine);
   base->Cache();
@@ -182,8 +175,8 @@ void BM_PairChain3_RowFused(benchmark::State& state) { RunPairChain(state, false
 BENCHMARK(BM_PairChain3_Vectorized)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PairChain3_RowFused)->Unit(benchmark::kMillisecond);
 
-void RunStringChain(benchmark::State& state, bool fused) {
-  EngineContext engine(BenchConfig(fused));
+void BM_StringChain3_Fused(benchmark::State& state) {
+  EngineContext engine(BenchConfig());
   InstallCache(&engine);
   auto base = StringSource(&engine);
   base->Cache();
@@ -195,10 +188,7 @@ void RunStringChain(benchmark::State& state, bool fused) {
                           kPartitions);
 }
 
-void BM_StringChain3_Fused(benchmark::State& state) { RunStringChain(state, true); }
-void BM_StringChain3_Unfused(benchmark::State& state) { RunStringChain(state, false); }
 BENCHMARK(BM_StringChain3_Fused)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StringChain3_Unfused)->Unit(benchmark::kMillisecond);
 
 // Union/Coalesce zero-copy block path, measured directly: the pre-change
 // per-partition compute deep-copied the parent's rows into a fresh block
@@ -259,7 +249,7 @@ BENCHMARK(BM_PassThroughBlock_ViewStrings);
 // representation) differs.
 int CheckVectorizedFloor(double min_speedup) {
   const auto time_path = [](bool vectorized) {
-    EngineContext engine(BenchConfig(/*fused=*/true, vectorized));
+    EngineContext engine(BenchConfig(vectorized));
     InstallCache(&engine);
     auto base = U64Source(&engine);
     base->Cache();

@@ -1,13 +1,10 @@
 // Micro-benchmarks for the event-driven stage-graph scheduler.
 //
-//  * BM_TwoParentJoin{Graph,Serial}: wall-clock of a join whose two shuffle
-//    parents are independent sibling map stages, with map tasks that mix
-//    compute and blocking I/O-style waits. Graph mode launches both
-//    siblings at submission so they overlap
-//    on the executor threads; Serial flips EngineConfig::serialize_stages
-//    (the kill switch) to restore the old one-stage-at-a-time order. The
-//    interesting number is the Graph/Serial ratio — overlap should win by
-//    >= 1.3x (2 executors x 2 threads, one task per executor per stage).
+//  * BM_TwoParentJoinGraph: wall-clock of a join whose two shuffle parents
+//    are independent sibling map stages, with map tasks that mix compute and
+//    blocking I/O-style waits. The stage graph launches both siblings at
+//    submission so they overlap on the executor threads (2 executors x 2
+//    threads, one task per executor per stage).
 //  * BM_JobsPerSecond/threads:N: N driver threads submitting small narrow
 //    jobs against ONE shared engine — scheduler submission overhead and
 //    driver-side scalability now that RunJob no longer serializes jobs.
@@ -32,10 +29,8 @@ namespace {
 
 // A stand-in for one map task's work: a slice of arithmetic plus a blocking
 // wait emulating shuffle/disk I/O. The blocking part is what sibling-stage
-// overlap hides — on serialized stages each stage pays its wait in full,
-// while the stage graph keeps both siblings' waits in flight together (and
-// this stays true on a single-core CI box, where pure compute cannot
-// overlap no matter what the scheduler does).
+// overlap hides: the stage graph keeps both siblings' waits in flight
+// together, which holds even where pure compute cannot overlap.
 uint64_t TaskWork(uint64_t seed) {
   uint64_t h = seed | 1;
   for (int i = 0; i < 1'000'000; ++i) {
@@ -44,15 +39,6 @@ uint64_t TaskWork(uint64_t seed) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   return h;
-}
-
-EngineConfig JoinConfig(bool serialize) {
-  EngineConfig config;
-  config.num_executors = 2;
-  config.threads_per_executor = 2;
-  config.memory_capacity_per_executor = MiB(32);
-  config.serialize_stages = serialize;
-  return config;
 }
 
 // Fresh RDD chains every iteration (fresh shuffle ids), so stage skipping
@@ -74,7 +60,11 @@ void RunTwoParentJoin(EngineContext* engine, int round) {
 }
 
 void BM_TwoParentJoinGraph(benchmark::State& state) {
-  EngineContext engine(JoinConfig(/*serialize=*/false));
+  EngineConfig config;
+  config.num_executors = 2;
+  config.threads_per_executor = 2;
+  config.memory_capacity_per_executor = MiB(32);
+  EngineContext engine(config);
   int round = 0;
   for (auto _ : state) {
     RunTwoParentJoin(&engine, round++);
@@ -82,16 +72,6 @@ void BM_TwoParentJoinGraph(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TwoParentJoinGraph)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_TwoParentJoinSerial(benchmark::State& state) {
-  EngineContext engine(JoinConfig(/*serialize=*/true));
-  int round = 0;
-  for (auto _ : state) {
-    RunTwoParentJoin(&engine, round++);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TwoParentJoinSerial)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Shared engine for the whole process (magic static): benchmark worker
 // threads act as concurrent drivers, so per-run setup would race.

@@ -1,13 +1,11 @@
-// Micro-benchmarks for the optimization substrate: simplex LP, generic 0/1
-// ILP, and the MCKP branch-and-bound at cache-decision instance sizes. The
-// paper bounds each ILP round to seconds; these show our rounds are
+// Micro-benchmark for the MCKP branch-and-bound at cache-decision instance
+// sizes, with the production call's node cap and optimality gap. The paper
+// bounds each ILP round to seconds; this shows our rounds are
 // microseconds-to-milliseconds.
 #include <benchmark/benchmark.h>
 
 #include "src/common/rng.h"
-#include "src/solver/ilp.h"
 #include "src/solver/mckp.h"
-#include "src/solver/simplex.h"
 
 namespace blaze {
 namespace {
@@ -38,49 +36,6 @@ void BM_MckpCacheInstance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MckpCacheInstance)->Arg(32)->Arg(128)->Arg(512)->Arg(2048);
-
-void BM_SimplexLp(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(7);
-  LinearProgram lp;
-  lp.objective.resize(n);
-  lp.upper_bounds.assign(n, 1.0);
-  LpConstraint cap;
-  cap.coeffs.resize(n);
-  cap.sense = LpConstraintSense::kLessEqual;
-  cap.rhs = static_cast<double>(n) / 4.0;
-  for (size_t i = 0; i < n; ++i) {
-    lp.objective[i] = -rng.NextDouble(0.1, 10.0);
-    cap.coeffs[i] = rng.NextDouble(0.1, 2.0);
-  }
-  lp.constraints.push_back(cap);
-  for (auto _ : state) {
-    const LpSolution sol = SolveLp(lp);
-    benchmark::DoNotOptimize(sol.objective_value);
-  }
-}
-BENCHMARK(BM_SimplexLp)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_GenericIlpKnapsack(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(11);
-  IlpProblem problem;
-  problem.objective.resize(n);
-  LpConstraint cap;
-  cap.coeffs.resize(n);
-  cap.sense = LpConstraintSense::kLessEqual;
-  cap.rhs = static_cast<double>(n) * 5.0;
-  for (size_t i = 0; i < n; ++i) {
-    problem.objective[i] = -static_cast<double>(1 + rng.NextU64(100));
-    cap.coeffs[i] = static_cast<double>(1 + rng.NextU64(20));
-  }
-  problem.constraints.push_back(cap);
-  for (auto _ : state) {
-    const IlpSolution sol = SolveIlp(problem, 2000);
-    benchmark::DoNotOptimize(sol.objective_value);
-  }
-}
-BENCHMARK(BM_GenericIlpKnapsack)->Arg(12)->Arg(20);
 
 }  // namespace
 }  // namespace blaze

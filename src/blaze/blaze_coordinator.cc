@@ -134,23 +134,10 @@ double BlazeCoordinator::VictimCost(CostEstimator& estimator, const BlockId& id)
   return 0.0;  // +AutoCache: cost-agnostic (LRU below)
 }
 
-bool BlazeCoordinator::DiskHasRoom(size_t executor, uint64_t bytes) const {
-  if (options_.disk_capacity_bytes == 0) {
-    return true;  // abundant disk (the paper's default assumption)
-  }
-  // Pending async spills count as already on disk: without the charge, every
-  // eviction between two commits passes the same budget and they overshoot
-  // it together.
-  const BlockManager& bm = engine_->block_manager(executor);
-  return bm.disk().used_bytes() + bm.PendingSpillBytes() + bytes <=
-         options_.disk_capacity_bytes;
-}
-
 bool BlazeCoordinator::EvictBlock(size_t executor, const MemoryEntry& victim, bool spill,
                                   TaskContext* tc, const char* reason, double score,
                                   uint32_t candidates) {
   BlockManager& bm = engine_->block_manager(executor);
-  spill = spill && DiskHasRoom(executor, victim.size_bytes);
   const bool to_disk = spill && options_.use_disk;
   const auto written = to_disk ? bm.WriteBack(victim.id, victim.data,
                                               tc != nullptr ? &tc->metrics() : nullptr)
@@ -357,9 +344,8 @@ void BlazeCoordinator::BlockComputed(const RddBase& rdd, uint32_t partition,
     return;
   }
 
-  // Not admitted to memory: choose the disk tier only when it pays off and
-  // the (optionally constrained) disk budget allows it.
-  bool spill = options_.use_disk && DiskHasRoom(executor, size);
+  // Not admitted to memory: choose the disk tier only when it pays off.
+  bool spill = options_.use_disk;
   if (spill && options_.ilp && desired != PartitionState::kDisk) {
     spill = cost.cost_d_ms < cost.cost_r_ms;
   }
@@ -569,9 +555,6 @@ void BlazeCoordinator::RunIlpPlan(int job_id) {
       }
       MckpSolution solution;
       std::vector<BlockId> group_ids;
-      std::vector<uint64_t> group_sizes;
-      std::vector<double> group_d_cost;
-      std::vector<double> group_u_cost;
       Stopwatch solve_watch;
       const uint64_t solve_start_us = trace::Enabled() ? ProcessMicros() : 0;
       constexpr int kFixedPointRounds = 2;
@@ -579,9 +562,6 @@ void BlazeCoordinator::RunIlpPlan(int job_id) {
         std::vector<MckpGroup> groups;
         groups.reserve(bucket.ids.size());
         group_ids.clear();
-        group_sizes.clear();
-        group_d_cost.clear();
-        group_u_cost.clear();
         for (const BlockId& id : bucket.ids) {
           const auto info = lineage_.GetPartition(id.rdd_id, id.partition);
           if (!info || info->size_bytes == 0) {
@@ -599,9 +579,6 @@ void BlazeCoordinator::RunIlpPlan(int job_id) {
           group.choices.push_back({cost.cost_r_ms, 0.0});  // u
           groups.push_back(std::move(group));
           group_ids.push_back(id);
-          group_sizes.push_back(info->size_bytes);
-          group_d_cost.push_back(cost.cost_d_ms);
-          group_u_cost.push_back(cost.cost_r_ms);
         }
         if (groups.empty()) {
           break;
@@ -658,37 +635,6 @@ void BlazeCoordinator::RunIlpPlan(int job_id) {
         continue;
       }
 
-      // Eq. 6's extension constraint: when the disk tier is budgeted, demote
-      // the d-choices with the smallest regret (cost_r - cost_d) to unpersist
-      // until the planned disk bytes fit the budget.
-      if (options_.use_disk && options_.disk_capacity_bytes > 0) {
-        uint64_t planned_disk = 0;
-        for (size_t g = 0; g < group_ids.size(); ++g) {
-          if (solution.choice[g] == 1) {
-            planned_disk += group_sizes[g];
-          }
-        }
-        while (planned_disk > options_.disk_capacity_bytes) {
-          size_t best = group_ids.size();
-          double best_regret = std::numeric_limits<double>::infinity();
-          for (size_t g = 0; g < group_ids.size(); ++g) {
-            if (solution.choice[g] != 1) {
-              continue;
-            }
-            const double regret = group_u_cost[g] - group_d_cost[g];
-            if (regret < best_regret) {
-              best_regret = regret;
-              best = g;
-            }
-          }
-          if (best == group_ids.size()) {
-            break;
-          }
-          solution.choice[best] = 2;  // u
-          planned_disk -= group_sizes[best];
-        }
-      }
-
       // Decode choices back to states and apply the transitions. Demotions run
       // before promotions so the capacity plan is respected.
       std::vector<std::pair<BlockId, PartitionState>> plan;
@@ -732,34 +678,28 @@ void BlazeCoordinator::RunIlpPlan(int job_id) {
           } else {
             // d -> m prefetch: reload if the dataset is still alive and it
             // fits. Scheduled on the spill worker so the disk read overlaps
-            // with the planning round and the job's first tasks; the sync path
-            // below is the sync_spill/full-queue fallback.
+            // with the planning round and the job's first tasks; a refused
+            // enqueue (sync_spill, full queue) reads here, under the lock.
             auto rdd = engine_->FindRdd(id.rdd_id);
             if (rdd == nullptr) {
               continue;
             }
-            BlockManager* bmp = &bm;
-            const size_t exec = e;
-            auto promote = [this, bmp, exec, id, rdd](std::optional<std::vector<uint8_t>> bytes,
-                                                      double /*disk_ms*/) {
+            auto promote = [this, e, id, rdd](std::optional<std::vector<uint8_t>> bytes,
+                                              double /*disk_ms*/) {
               if (!bytes) {
                 return;  // lost or corrupt on disk; admission re-plans later
               }
               ByteSource src(*bytes);
               BlockPtr block = rdd->DecodeBlock(src);
-              const uint64_t size = block->SizeBytes();
-              // TryPut enforces the (possibly shifted) bound atomically.
-              if (bmp->memory().TryPut(id, std::move(block), size)) {
-                bmp->RemoveFromDisk(id);
-                lineage_.SetState(id.rdd_id, id.partition, PartitionState::kMemory);
-                engine_->audit().Admit(static_cast<uint32_t>(exec), id.rdd_id, id.partition,
-                                       size, /*to_disk=*/false, "MCKP", "ilp_promote");
-              }
+              std::lock_guard<std::mutex> lock(*executor_mu_[e]);
+              PromoteLocked(e, id, std::move(block));
             };
             if (!bm.FetchAsync(id, promote)) {
               double read_ms = 0.0;
-              auto bytes = bm.ReadFromDisk(id, &read_ms);
-              promote(std::move(bytes), read_ms);
+              if (auto bytes = bm.ReadFromDisk(id, &read_ms)) {
+                ByteSource src(*bytes);
+                PromoteLocked(e, id, rdd->DecodeBlock(src));
+              }
             }
           }
         } else {
@@ -772,6 +712,25 @@ void BlazeCoordinator::RunIlpPlan(int job_id) {
 
   std::lock_guard<std::mutex> lock(desired_mu_);
   desired_ = std::move(new_desired);
+}
+
+void BlazeCoordinator::PromoteLocked(size_t executor, const BlockId& id, BlockPtr block) {
+  BlockManager& bm = engine_->block_manager(executor);
+  if (!bm.disk().Contains(id) || bm.memory().Contains(id)) {
+    return;
+  }
+  const uint64_t size = block->SizeBytes();
+  // Charged like an admission: the dataset owner's ledger, so the block is
+  // covered by that tenant's eviction floor.
+  const TenantRegistry* tenants = engine_->tenants();
+  const uint32_t owner = tenants != nullptr ? tenants->OwnerOf(id.rdd_id) : kNoTenant;
+  // TryPut enforces the (possibly shifted) bound atomically.
+  if (bm.memory().TryPut(id, std::move(block), size, owner)) {
+    bm.RemoveFromDisk(id);
+    lineage_.SetState(id.rdd_id, id.partition, PartitionState::kMemory);
+    engine_->audit().Admit(static_cast<uint32_t>(executor), id.rdd_id, id.partition, size,
+                           /*to_disk=*/false, "MCKP", "ilp_promote", owner);
+  }
 }
 
 }  // namespace blaze

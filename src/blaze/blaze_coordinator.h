@@ -31,9 +31,6 @@ struct BlazeOptions {
   bool ilp = true;                  // ILP state plan + recompute-vs-disk choice
   bool use_disk = true;             // false = Blaze(MEM), no disk tier
   int window_jobs = 2;              // ILP horizon: current + next job(s)
-  // Optional per-executor disk-tier budget (paper Eq. 6's extension constraint
-  // "sum size*d <= capacity_disk"); 0 = abundant disk, the paper's default.
-  uint64_t disk_capacity_bytes = 0;
 
   static BlazeOptions Full() { return BlazeOptions{}; }
   static BlazeOptions AutoCacheOnly() { return {true, false, false, true, 2}; }
@@ -83,12 +80,14 @@ class BlazeCoordinator : public CacheCoordinator {
   bool EvictBlock(size_t executor, const MemoryEntry& victim, bool spill, TaskContext* tc,
                   const char* reason, double score, uint32_t candidates);
 
-  // True if `bytes` more fit under the optional disk budget.
-  bool DiskHasRoom(size_t executor, uint64_t bytes) const;
-
   // Solves the per-executor MCKP over the upcoming window and applies the
   // resulting state transitions (paper §5.5).
   void RunIlpPlan(int job_id);
+
+  // Installs a planned disk->memory promotion whose disk read has finished.
+  // Executor lock held. Skips a block that left the disk tier or came back to
+  // memory while the read ran (an unpersist or an admission won the race).
+  void PromoteLocked(size_t executor, const BlockId& id, BlockPtr block);
 
   // Timely removal of partitions with no remaining references (paper §5.6).
   void AutoUnpersist();

@@ -183,11 +183,6 @@ std::vector<DagScheduler::StagePlan> DagScheduler::PlanStages(
         }
       }
     }
-    if (engine_->config().serialize_stages && plan.stage_index > 0) {
-      // Kill switch: chain the stages linearly, restoring the pre-graph
-      // behavior of a full barrier between consecutive stages.
-      parents.insert(plan.stage_index - 1);
-    }
     plan.num_parents = static_cast<int>(parents.size());
     for (int parent : parents) {
       plans[parent].children.push_back(plan.stage_index);

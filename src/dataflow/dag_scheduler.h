@@ -121,8 +121,7 @@ class DagScheduler {
   };
 
   // Map stages in topological order followed by the result stage, with
-  // parent/child edges filled in (plus synthetic i -> i+1 edges when
-  // EngineConfig::serialize_stages is set).
+  // parent/child edges filled in.
   std::vector<StagePlan> PlanStages(const std::shared_ptr<RddBase>& target) const;
 
   // Claims the stage's shuffle write (map stages) and either runs its tasks,

@@ -15,6 +15,9 @@ namespace blaze {
 
 namespace {
 
+// Cache-decision audit records retained per executor (flight-recorder ring).
+constexpr size_t kAuditRecordsPerExecutor = 4096;
+
 // Default coordinator: caches nothing. Real deployments install the
 // annotation-following policy coordinator (src/cache) or Blaze (src/blaze).
 class NoopCoordinator : public CacheCoordinator {
@@ -38,7 +41,7 @@ std::filesystem::path MakeUniqueDiskRoot() {
 EngineContext::EngineContext(const EngineConfig& config)
     : config_(config),
       metrics_(config.num_executors),
-      audit_(config.num_executors, config.audit_log_capacity) {
+      audit_(config.num_executors, kAuditRecordsPerExecutor) {
   BLAZE_CHECK_GT(config.num_executors, 0u);
   if (config.disk_root.empty()) {
     disk_root_ = MakeUniqueDiskRoot();
@@ -52,7 +55,6 @@ EngineContext::EngineContext(const EngineConfig& config)
     bm_config.memory_capacity_bytes = config.memory_capacity_per_executor;
     bm_config.disk_dir = disk_root_ / ("executor_" + std::to_string(e));
     bm_config.disk_throughput_bytes_per_sec = config.disk_throughput_bytes_per_sec;
-    bm_config.shuffle_memory_fraction = config.shuffle_memory_fraction;
     bm_config.sync_spill = config.sync_spill;
     bm_config.spill_queue_depth = config.spill_queue_depth;
     executors_.push_back(

@@ -49,32 +49,12 @@ struct EngineConfig {
   // retries up to max_task_attempts, as Spark's TaskSetManager does.
   double task_failure_rate = 0.0;
   int max_task_attempts = 4;
-  // Cache-decision audit records retained per executor (flight-recorder ring).
-  size_t audit_log_capacity = 4096;
-  // Pipelined narrow-stage execution: chains of one-parent narrow transforms
-  // stream rows through composed operators instead of materializing a block
-  // per operator (off = the pre-fusion per-operator block behavior, kept as a
-  // kill switch and for A/B benchmarking).
-  bool enable_fusion = true;
-  // Chains every job's stages into a linear order (synthetic i -> i+1 edges),
-  // disabling sibling-stage overlap. Kill switch for the event-driven stage
-  // graph and the serial baseline for the scheduler microbench.
-  bool serialize_stages = false;
-  // Unified memory arbitration: fraction of executor memory that charged
-  // shuffle/execution bytes may displace from the cache bound (the capacity
-  // split; 0 makes shuffle accounting purely diagnostic).
-  double shuffle_memory_fraction = 0.2;
   // Kill switch: evictions serialize+write on the evicting task's path (the
   // pre-PR5 behavior) instead of the asynchronous spill worker.
   bool sync_spill = false;
   // Bound of the per-executor spill/fetch queue; a full queue falls back to
   // the synchronous path (backpressure).
   size_t spill_queue_depth = 32;
-  // Representation selection at cache admission: row types that opt in via
-  // BlazeColumns are cached as columnar (struct-of-arrays, arena-backed)
-  // blocks — bulk-copy serialization and one-shot teardown — while executing
-  // tasks keep consuming object rows. Kill switch for A/B and debugging.
-  bool enable_columnar = true;
   // Vectorized (batch-at-a-time) execution: fusable chains whose operators
   // all have columnar kernels run as tight per-column loops over ColumnBatch
   // views (selection vectors instead of row copies), reading cached columnar

@@ -85,7 +85,7 @@ class RddBase : public std::enable_shared_from_this<RddBase> {
   // block. Coordinators call this at admission; the executing task keeps the
   // object-row block it computed, only the cached copy changes form. The
   // default keeps the block as-is; Rdd<T> converts opted-in row types to the
-  // columnar arena-backed layout when EngineConfig::enable_columnar allows.
+  // columnar arena-backed layout.
   virtual BlockPtr CacheRepresentation(const BlockPtr& block) const { return block; }
 
  private:

@@ -27,9 +27,6 @@ void TaskContext::RegisterPin(size_t executor, const BlockId& id) {
 }
 
 bool TaskContext::IsFusionBarrier(const RddBase& rdd) const {
-  if (!engine_->config().enable_fusion) {
-    return true;
-  }
   if (rdd.storage_level() != StorageLevel::kNone || rdd.is_checkpointed()) {
     return true;
   }

@@ -6,10 +6,10 @@
 //     disk      (cost cost_d,  weight 0)
 //     unpersist (cost cost_r,  weight 0)
 // with one choice per group and a total-weight (memory capacity) budget,
-// minimizing total cost. This solver is the production path; it is exact:
-// best-first branch-and-bound with the classic convex-hull LP relaxation
-// bound (Sinha-Zoltners). A DP variant over integer weights cross-checks it
-// in tests, and the generic simplex ILP (src/solver/ilp.h) cross-checks both.
+// minimizing total cost. This solver is the production path: best-first
+// branch-and-bound with the classic convex-hull LP relaxation bound
+// (Sinha-Zoltners), exact unless a gap or node cap is given. A DP variant over
+// integer weights cross-checks it in tests.
 #ifndef SRC_SOLVER_MCKP_H_
 #define SRC_SOLVER_MCKP_H_
 
@@ -37,7 +37,7 @@ struct MckpSolution {
 
 // Branch-and-bound, exact by default. `relative_gap` > 0 allows early
 // termination once the incumbent is within that fraction of the lower bound
-// (the production cache path trades a 0.1% gap for strictly bounded latency,
+// (the production cache path trades a 0.2% gap for strictly bounded latency,
 // mirroring the paper's ILP time budget); max_nodes caps the search tree and
 // returns the incumbent with kNodeLimit when exceeded.
 MckpSolution SolveMckp(const std::vector<MckpGroup>& groups, double capacity,

@@ -6,12 +6,20 @@
 
 namespace blaze {
 
+namespace {
+
+// Fraction of executor memory that charged shuffle/execution bytes may
+// displace from the cache bound (Spark's unified-memory execution share).
+constexpr double kShuffleMemoryFraction = 0.2;
+
+}  // namespace
+
 BlockManager::BlockManager(size_t executor_id, const BlockManagerConfig& config,
                            RunMetrics* metrics)
     : executor_id_(executor_id),
       arbiter_(config.memory_capacity_bytes,
                static_cast<uint64_t>(static_cast<double>(config.memory_capacity_bytes) *
-                                     config.shuffle_memory_fraction)),
+                                     kShuffleMemoryFraction)),
       memory_(config.memory_capacity_bytes, &arbiter_),
       disk_(config.disk_dir, config.disk_throughput_bytes_per_sec),
       metrics_(metrics),

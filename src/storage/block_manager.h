@@ -30,9 +30,6 @@ struct BlockManagerConfig {
   uint64_t memory_capacity_bytes = 64ULL << 20;
   std::filesystem::path disk_dir;
   uint64_t disk_throughput_bytes_per_sec = 0;  // 0 = unthrottled
-  // Fraction of executor memory the arbiter lets shuffle/execution buffers
-  // charge against the cache bound (Spark's unified-memory execution share).
-  double shuffle_memory_fraction = 0.2;
   bool sync_spill = false;       // kill switch: evictions block the task path
   size_t spill_queue_depth = 32;  // bounded; full queue falls back to sync
 };
@@ -92,8 +89,8 @@ class BlockManager {
   // Depth of the spill/fetch queue right now (diagnostics).
   size_t SpillQueueDepth() const;
 
-  // Payload bytes of spills claimed but not yet committed. Disk-budget
-  // checks must count these as already on disk.
+  // Payload bytes of spills claimed but not yet committed (the
+  // spill.pending_bytes gauge).
   uint64_t PendingSpillBytes() const;
 
   // Reads the encoded bytes of a spilled block; millis spent written to *ms.

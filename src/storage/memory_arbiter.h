@@ -14,8 +14,8 @@
 //                        and released when buckets are replaced or dropped.
 //
 // The cache's effective capacity is  capacity - min(execution, execution_cap):
-// execution pressure shrinks what the cache may hold, up to a configurable
-// split (EngineConfig::shuffle_memory_fraction), so a shuffle-heavy stage
+// execution pressure shrinks what the cache may hold, up to a fixed split
+// (20% of executor memory, set in block_manager.cc), so a shuffle-heavy stage
 // forces evictions instead of silently overcommitting the executor. The cap
 // keeps a pathological shuffle from starving the cache to zero — beyond the
 // cap, execution reservations are still *counted* (overflow diagnostics) but

@@ -89,9 +89,7 @@ class SpillQueue {
 
   size_t depth() const;
 
-  // Payload bytes of spills claimed but not yet committed to disk. Disk
-  // budget checks add this to the store's committed bytes — otherwise N
-  // in-flight writes all pass the same budget and overshoot it together.
+  // Payload bytes of spills claimed but not yet committed to disk.
   uint64_t pending_spill_bytes() const;
 
  private:

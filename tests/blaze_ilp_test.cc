@@ -3,8 +3,14 @@
 // cost re-estimation overlay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <any>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <initializer_list>
+#include <string>
+#include <thread>
 
 #include "src/common/units.h"
 
@@ -172,38 +178,140 @@ TEST(BlazeIlpTest, WindowExcludesSingleUseTransients) {
 }
 
 
-TEST(BlazeIlpTest, DiskBudgetIsRespected) {
-  // A constrained disk tier: the plan and the spill paths must never exceed
-  // the per-executor budget (Eq. 6's extension constraint).
-  EngineConfig config;
-  config.num_executors = 1;
-  config.threads_per_executor = 1;
-  config.memory_capacity_per_executor = KiB(64);
-  config.disk_throughput_bytes_per_sec = MiB(256);  // fast disk: spills attractive
-  EngineContext engine(config);
-  BlazeOptions options = BlazeOptions::Full();
-  options.disk_capacity_bytes = KiB(64);
-  engine.SetCoordinator(std::make_unique<BlazeCoordinator>(&engine, options));
+// A dataset produced by `producer_job` and read again by each job up to
+// `last_job`.
+struct Reads {
+  const RddBase* rdd;
+  int producer_job;
+  int last_job;
+};
 
-  auto base = Generate<int>(&engine, "budget.base", 2, [](uint32_t p) {
-    std::vector<int> rows(12000);
-    double acc = 0.0;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      for (int k = 0; k < 40; ++k) {
-        acc += std::sin(static_cast<double>(i + k + p));
-      }
-      rows[i] = static_cast<int>(acc);
+// Seeds the lineage with the reference schedule a profiling run would find.
+void SeedReads(BlazeCoordinator* blaze, std::initializer_list<Reads> datasets) {
+  LineageProfile profile;
+  for (const Reads& reads : datasets) {
+    LineageNode node;
+    node.role = reads.rdd->id();
+    node.name = reads.rdd->name();
+    node.num_partitions = reads.rdd->num_partitions();
+    node.producer_job = reads.producer_job;
+    node.class_id = reads.rdd->id();
+    profile.nodes.push_back(node);
+    for (int job = reads.producer_job + 1; job <= reads.last_job; ++job) {
+      profile.class_ref_offsets[node.role].insert(job - reads.producer_job);
+    }
+    profile.num_jobs = std::max(profile.num_jobs, reads.last_job + 1);
+  }
+  blaze->SeedProfile(profile);
+}
+
+// Moves a memory-resident block to the disk tier, as a spilling eviction
+// would, so the next job's plan promotes it back.
+void MoveToDisk(EngineContext& engine, BlazeCoordinator* blaze, const BlockId& id) {
+  BlockManager& bm = engine.block_manager(0);
+  auto block = bm.memory().Peek(id);
+  ASSERT_TRUE(block.has_value());
+  bm.SpillToDisk(id, **block);
+  bm.RemoveFromMemory(id);
+  blaze->lineage().SetState(id.rdd_id, id.partition, PartitionState::kDisk);
+}
+
+RddPtr<int> Ints(EngineContext& engine, const std::string& name, int rows) {
+  return Generate<int>(&engine, name, 1,
+                       [rows](uint32_t p) { return std::vector<int>(rows, (int)p); });
+}
+
+// A planned disk->memory promotion lands on the dataset owner's ledger, like
+// an admission, so the owner's eviction floor covers the promoted block.
+TEST(BlazeIlpTest, PlannedPromotionIsChargedToTheOwner) {
+  EngineConfig config = TinyConfig(KiB(96));
+  for (const char* name : {"a", "b"}) {
+    TenantSpec spec;
+    spec.name = name;
+    spec.memory_share = 0.5;
+    config.tenants.push_back(spec);
+  }
+  config.multi_tenant = true;
+  EngineContext engine(config);
+  auto coordinator = std::make_unique<BlazeCoordinator>(&engine, BlazeOptions::Full());
+  BlazeCoordinator* blaze = coordinator.get();
+  engine.SetCoordinator(std::move(coordinator));
+  const TenantId owner = *engine.tenants()->FindByName("b");
+  const auto count_as_owner = [&](const RddPtr<int>& rdd) {
+    size_t rows = 0;
+    for (std::any& result : engine.RunJobAs(
+             owner, rdd, [](const BlockPtr& block) -> std::any { return block->NumRows(); },
+             /*raw_blocks=*/true)) {
+      rows += std::any_cast<size_t>(result);
     }
     return rows;
-  });
-  base->Count();
-  auto current = base;
-  size_t expected = 24000;
-  for (int iter = 0; iter < 5; ++iter) {
-    auto next = current->Map([](const int& x) { return x + 1; }, "budget.iter");
-    EXPECT_EQ(next->Count(), expected);
-    EXPECT_LE(engine.block_manager(0).disk().used_bytes(), KiB(64));
-    current = next;
+  };
+
+  auto base = Ints(engine, "promote.base", 2000);
+  SeedReads(blaze, {{base.get(), /*producer_job=*/0, /*last_job=*/3}});
+  ASSERT_EQ(count_as_owner(base), 2000u);
+  const BlockId id{base->id(), 0};
+  MoveToDisk(engine, blaze, id);
+  ASSERT_EQ(count_as_owner(base), 2000u);  // its plan promotes the block
+  engine.DrainAllSpills();
+
+  BlockManager& bm = engine.block_manager(0);
+  ASSERT_TRUE(bm.memory().Contains(id));
+  EXPECT_FALSE(bm.disk().Contains(id));
+  EXPECT_EQ(blaze->lineage().GetState(id.rdd_id, id.partition), PartitionState::kMemory);
+  for (const MemoryEntry& entry : bm.memory().Entries()) {
+    if (entry.id == id) {
+      EXPECT_EQ(entry.tenant, owner);
+      EXPECT_GE(bm.arbiter().TenantCacheUsed(owner), entry.size_bytes);
+    }
+  }
+}
+
+// The promotion's disk read runs on the spill worker while a second job's
+// admission evicts and its stage end auto-unpersists the block. In every
+// order the three can land in, memory, disk and lineage agree afterwards, and
+// the block, read by no later job, is in neither tier.
+TEST(BlazeIlpTest, PromotionRacingEvictionAndUnpersistStaysConsistent) {
+  for (int attempt = 0; attempt < 6; ++attempt) {
+    EngineConfig config = TinyConfig(KiB(40));
+    config.disk_throughput_bytes_per_sec = KiB(128);  // an 8 KiB block reads in ~60 ms
+    EngineContext engine(config);
+    auto coordinator = std::make_unique<BlazeCoordinator>(&engine, BlazeOptions::Full());
+    BlazeCoordinator* blaze = coordinator.get();
+    engine.SetCoordinator(std::move(coordinator));
+
+    auto base = Ints(engine, "race.base", 2000);       // ~8 KiB, read by jobs 0-1
+    auto filler = Ints(engine, "race.filler", 8000);   // ~32 KiB, produced by job 2
+    SeedReads(blaze, {{base.get(), 0, 1}, {filler.get(), 2, 3}});
+    ASSERT_EQ(base->Count(), 2000u);
+    const BlockId id{base->id(), 0};
+    MoveToDisk(engine, blaze, id);
+
+    std::thread reader([&] { EXPECT_EQ(base->Count(), 2000u); });  // plans the promotion
+    while (blaze->lineage().current_job() < 1) {
+      std::this_thread::yield();
+    }
+    // Spread the second job across the read: before, during and after it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(15 * attempt));
+    EXPECT_EQ(filler->Count(), 8000u);
+    reader.join();
+    engine.DrainAllSpills();
+
+    BlockManager& bm = engine.block_manager(0);
+    for (const MemoryEntry& entry : bm.memory().Entries()) {
+      EXPECT_EQ(blaze->lineage().GetState(entry.id.rdd_id, entry.id.partition),
+                PartitionState::kMemory)
+          << "attempt " << attempt;
+    }
+    for (const BlockId& on_disk : bm.disk().Blocks()) {
+      EXPECT_EQ(blaze->lineage().GetState(on_disk.rdd_id, on_disk.partition),
+                PartitionState::kDisk)
+          << "attempt " << attempt;
+    }
+    EXPECT_FALSE(bm.memory().Contains(id)) << "attempt " << attempt;
+    EXPECT_FALSE(bm.disk().Contains(id)) << "attempt " << attempt;
+    EXPECT_EQ(blaze->lineage().GetState(id.rdd_id, id.partition), PartitionState::kNone)
+        << "attempt " << attempt;
   }
 }
 

@@ -289,23 +289,6 @@ TEST(ColumnarEngineTest, CachedDatasetIsStoredColumnarAndReadsBack) {
   }
 }
 
-TEST(ColumnarEngineTest, KillSwitchKeepsObjectRows) {
-  EngineConfig config;
-  config.num_executors = 1;
-  config.threads_per_executor = 1;
-  config.enable_columnar = false;
-  EngineContext engine(config);
-  engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
-                                                            EvictionMode::kMemAndDisk));
-  auto rdd = Parallelize<FactorVec>(&engine, "factors", MakeFactors(500, 4), 2);
-  rdd->Cache();
-  EXPECT_EQ(rdd->Count(), 500u);
-  EXPECT_EQ(rdd->Count(), 500u);
-  const auto snap = engine.metrics().Snapshot();
-  EXPECT_EQ(snap.columnar_blocks, 0u);
-  EXPECT_EQ(snap.columnar_decodes, 0u);
-}
-
 // --- async spill queue stress (TSan target) ---------------------------------------
 
 // Writers push columnar blocks through SpillAsync while readers hit the

@@ -1,8 +1,8 @@
 // Pipelined narrow-stage execution (operator fusion) tests: fused chains
 // allocate no intermediate blocks, and every fusion barrier — user Cache()
-// annotations, coordinator caching candidates, multi-consumer fan-out, the
-// enable_fusion kill switch — still materializes through the BlockManager so
-// caching, eviction, and lineage recomputation behave exactly as before.
+// annotations, coordinator caching candidates, multi-consumer fan-out —
+// still materializes through the BlockManager so caching, eviction, and
+// lineage recomputation behave exactly as before.
 #include <gtest/gtest.h>
 
 #include "src/common/units.h"
@@ -75,23 +75,6 @@ TEST(FusionTest, FusedChainElidesIntermediateBlocks) {
   EXPECT_FALSE(AnyPartitionComputed(engine, *f));
   EXPECT_TRUE(AllPartitionsComputed(engine, *base));
   EXPECT_TRUE(AllPartitionsComputed(engine, *m2));
-}
-
-TEST(FusionTest, KillSwitchRestoresPerOperatorBlocks) {
-  EngineConfig config = SmallConfig();
-  config.enable_fusion = false;
-  EngineContext engine(config);
-  auto base = Parallelize<int>(&engine, "ints", Iota(100), 4);
-  auto m1 = base->Map([](const int& x) { return x * 2; }, "m1");
-  auto f = m1->Filter([](const int& x) { return x % 4 == 0; }, "f");
-  auto m2 = f->Map([](const int& x) { return x + 1; }, "m2");
-  EXPECT_EQ(m2->Count(), 50u);
-
-  const auto snap = engine.metrics().Snapshot();
-  EXPECT_EQ(snap.total_task.fused_ops, 0u);
-  EXPECT_EQ(snap.total_task.blocks_computed, 16u);  // every operator, per partition
-  EXPECT_TRUE(AllPartitionsComputed(engine, *m1));
-  EXPECT_TRUE(AllPartitionsComputed(engine, *f));
 }
 
 TEST(FusionTest, CachedIntermediateMaterializesAndIsHitOnReuse) {
@@ -226,15 +209,21 @@ TEST(FusionTest, BlazeAutoCacheCandidatesBreakFusion) {
   }
 }
 
+// A Cache()d parent is a fusion barrier, so the second run samples a
+// materialized block: the per-operator path must draw the same rows as the
+// fused Map+Sample chain.
 TEST(FusionTest, SampleIsDeterministicAcrossFusionModes) {
   auto run = [](bool fused) {
-    EngineConfig config = SmallConfig();
-    config.enable_fusion = fused;
-    EngineContext engine(config);
+    EngineContext engine(SmallConfig());
     auto base = Parallelize<int>(&engine, "ints", Iota(500), 4);
-    auto sampled = base->Map([](const int& x) { return x * 7; }, "m")
-                       ->Sample(0.3, /*seed=*/42, "s");
-    return sampled->Collect();
+    auto mapped = base->Map([](const int& x) { return x * 7; }, "m");
+    if (!fused) {
+      mapped->Cache();
+    }
+    auto sampled = mapped->Sample(0.3, /*seed=*/42, "s");
+    auto rows = sampled->Collect();
+    EXPECT_EQ(AllPartitionsComputed(engine, *mapped), !fused);
+    return rows;
   };
   const auto fused = run(true);
   const auto unfused = run(false);

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/common/rng.h"
-#include "src/solver/ilp.h"
 #include "src/solver/mckp.h"
 
 namespace blaze {
@@ -11,6 +12,31 @@ MckpGroup Group(std::initializer_list<MckpChoice> choices) {
   MckpGroup g;
   g.choices = choices;
   return g;
+}
+
+// Exhaustive oracle: the cheapest feasible choice vector over every
+// combination (prod |choices| of them), or nullopt when none fits.
+std::optional<double> EnumerateMckp(const std::vector<MckpGroup>& groups, double capacity) {
+  std::optional<double> best;
+  std::vector<size_t> pick(groups.size(), 0);
+  for (;;) {
+    double cost = 0.0;
+    double weight = 0.0;
+    for (size_t g = 0; g < groups.size(); ++g) {
+      cost += groups[g].choices[pick[g]].cost;
+      weight += groups[g].choices[pick[g]].weight;
+    }
+    if (weight <= capacity && (!best || cost < *best)) {
+      best = cost;
+    }
+    size_t g = 0;
+    while (g < groups.size() && ++pick[g] == groups[g].choices.size()) {
+      pick[g++] = 0;
+    }
+    if (g == groups.size()) {
+      return best;
+    }
+  }
 }
 
 TEST(MckpTest, EmptyProblemIsTriviallyOptimal) {
@@ -62,7 +88,8 @@ TEST(MckpTest, DpMatchesOnSmallInstance) {
   EXPECT_DOUBLE_EQ(bb.cost, dp.cost);
 }
 
-// Randomized three-way cross-check: branch-and-bound vs DP vs generic ILP.
+// Randomized three-way cross-check: branch-and-bound vs DP vs exhaustive
+// enumeration (at most 4^7 choice vectors per instance).
 class MckpRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MckpRandomTest, AllThreeSolversAgree) {
@@ -84,41 +111,14 @@ TEST_P(MckpRandomTest, AllThreeSolversAgree) {
 
   const MckpSolution bb = SolveMckp(groups, capacity);
   const MckpSolution dp = SolveMckpDp(groups, static_cast<int64_t>(capacity));
+  const std::optional<double> enumerated = EnumerateMckp(groups, capacity);
   ASSERT_EQ(bb.status, dp.status);
+  ASSERT_EQ(bb.status == MckpStatus::kOptimal, enumerated.has_value());
   if (bb.status != MckpStatus::kOptimal) {
     return;
   }
   EXPECT_NEAR(bb.cost, dp.cost, 1e-6);
-
-  // Generic ILP: binary var per (group, choice), exactly-one rows + capacity.
-  IlpProblem ilp;
-  std::vector<size_t> offsets;
-  size_t total = 0;
-  for (const auto& group : groups) {
-    offsets.push_back(total);
-    total += group.choices.size();
-  }
-  ilp.objective.resize(total);
-  LpConstraint cap;
-  cap.coeffs.assign(total, 0.0);
-  cap.sense = LpConstraintSense::kLessEqual;
-  cap.rhs = capacity;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    LpConstraint one;
-    one.coeffs.assign(total, 0.0);
-    one.sense = LpConstraintSense::kEqual;
-    one.rhs = 1.0;
-    for (size_t c = 0; c < groups[g].choices.size(); ++c) {
-      ilp.objective[offsets[g] + c] = groups[g].choices[c].cost;
-      cap.coeffs[offsets[g] + c] = groups[g].choices[c].weight;
-      one.coeffs[offsets[g] + c] = 1.0;
-    }
-    ilp.constraints.push_back(std::move(one));
-  }
-  ilp.constraints.push_back(std::move(cap));
-  const IlpSolution generic = SolveIlp(ilp);
-  ASSERT_EQ(generic.status, IlpStatus::kOptimal);
-  EXPECT_NEAR(generic.objective_value, bb.cost, 1e-6);
+  EXPECT_NEAR(*enumerated, bb.cost, 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MckpRandomTest,

@@ -675,6 +675,11 @@ void BlazeCoordinator::RunIlpPlan(int job_id) {
             engine_->metrics().RecordUnpersist();
             engine_->audit().Unpersist(static_cast<uint32_t>(e), id.rdd_id, id.partition,
                                        /*size_bytes=*/0, "MCKP", "ilp_drop");
+          } else if (lineage_.FutureRefCount(id.rdd_id, job_id, /*include_current=*/true) ==
+                     0) {
+            // Past its last reader: the stage-end refcount_zero unpersist
+            // drops it, so a disk read now would only be thrown away.
+            continue;
           } else {
             // d -> m prefetch: reload if the dataset is still alive and it
             // fits. Scheduled on the spill worker so the disk read overlaps

@@ -12,10 +12,10 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/dataflow/flat_key_index.h"
 #include "src/dataflow/rdd.h"
 
 namespace blaze {
@@ -24,12 +24,7 @@ namespace blaze {
 // must use it to be co-partitioned with shuffle outputs).
 template <typename K>
 uint32_t KeyPartition(const K& key, size_t num_partitions) {
-  // splitmix-style finalizer over std::hash for better low-bit diffusion.
-  uint64_t h = std::hash<K>{}(key);
-  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
-  h ^= h >> 31;
-  return static_cast<uint32_t>(h % num_partitions);
+  return static_cast<uint32_t>(KeyHash(key) % num_partitions);
 }
 
 // Reduce-side dataset of a shuffle: combines per-key values pushed by the map
@@ -58,25 +53,33 @@ class ShuffledRdd final : public Rdd<std::pair<K, C>> {
 
   BlockPtr Compute(uint32_t index, TaskContext& tc) const override {
     std::vector<BlockPtr> buckets = tc.ReadOrRebuildShuffleBuckets(*this, index);
-    std::unordered_map<K, C> agg;
+    size_t total_rows = 0;
+    for (const BlockPtr& bucket : buckets) {
+      total_rows += RowsOf<std::pair<K, V>>(bucket).size();
+    }
+    // One combiner per key, dense and in first-seen order; each key's values
+    // fold in stream order (bucket by bucket, row by row).
+    std::vector<std::pair<K, C>> rows;
+    rows.reserve(total_rows);
+    FlatKeyIndex<K> index_of;
+    const auto key_of = [&rows](uint32_t row) -> const K& { return rows[row].first; };
     for (const BlockPtr& bucket : buckets) {
       for (const auto& [key, value] : RowsOf<std::pair<K, V>>(bucket)) {
-        auto it = agg.find(key);
-        if (it == agg.end()) {
-          agg.emplace(key, create_(value));
+        const auto [row, inserted] = index_of.Insert(key, key_of);
+        if (inserted) {
+          rows.emplace_back(key, create_(value));
         } else {
-          merge_(it->second, value);
+          merge_(rows[row].second, value);
         }
       }
     }
-    std::vector<std::pair<K, C>> rows;
-    rows.reserve(agg.size());
-    for (auto& [key, combiner] : agg) {
-      rows.emplace_back(key, std::move(combiner));
-    }
-    // Sorted output keeps runs bit-reproducible regardless of hash-map order.
+    // Output sorted by key (SortByKey's range partitions rely on it).
     std::sort(rows.begin(), rows.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
+    // The reserve assumed unique keys; return what many duplicates left unused.
+    if (rows.size() < rows.capacity() / 2) {
+      rows.shrink_to_fit();
+    }
     return MakeBlock(std::move(rows));
   }
 
@@ -108,11 +111,24 @@ class ShuffledRdd final : public Rdd<std::pair<K, C>> {
         return std::vector<BlockPtr>{
             MakeOwnedBlockView(SharedRowsOf<std::pair<K, V>>(rows_block))};
       }
-      std::vector<std::vector<std::pair<K, V>>> buckets(reduce_count);
+      // Two passes: bucket every row once and count, then scatter into
+      // buckets reserved to their exact sizes.
+      std::vector<uint32_t> bucket_of;
+      bucket_of.reserve(block->NumRows());
+      std::vector<size_t> counts(reduce_count, 0);
       ForEachRow<std::pair<K, V>>(block, [&](const std::pair<K, V>& row) {
         const uint32_t bucket = partitioner ? partitioner(row.first, reduce_count)
                                             : KeyPartition(row.first, reduce_count);
-        buckets[bucket].push_back(row);
+        bucket_of.push_back(bucket);
+        ++counts[bucket];
+      });
+      std::vector<std::vector<std::pair<K, V>>> buckets(reduce_count);
+      for (size_t b = 0; b < reduce_count; ++b) {
+        buckets[b].reserve(counts[b]);
+      }
+      size_t next = 0;
+      ForEachRow<std::pair<K, V>>(block, [&](const std::pair<K, V>& row) {
+        buckets[bucket_of[next++]].push_back(row);
       });
       std::vector<BlockPtr> out;
       out.reserve(reduce_count);
@@ -220,18 +236,32 @@ RddPtr<std::pair<K, std::pair<V, W>>> JoinCoPartitioned(RddPtr<std::pair<K, V>> 
         const auto& left_rows = RowsOf<std::pair<K, V>>(left_block);
         const BlockPtr right_block = tc.GetBlock(*right, index);
         const auto& right_rows = RowsOf<std::pair<K, W>>(right_block);
-        std::unordered_map<K, std::vector<const W*>> right_index;
-        for (const auto& [key, value] : right_rows) {
-          right_index[key].push_back(&value);
+        constexpr uint32_t kEnd = FlatKeyIndex<K>::kNone;
+        // Per distinct right key, the first right row holding it; next[r]
+        // chains the key's later rows. Indexing the rows back to front leaves
+        // every chain in right-side order.
+        FlatKeyIndex<K> index_of(right_rows.size());
+        std::vector<uint32_t> head;
+        std::vector<uint32_t> next(right_rows.size(), kEnd);
+        const auto key_of = [&](uint32_t k) -> const K& { return right_rows[head[k]].first; };
+        for (size_t r = right_rows.size(); r-- > 0;) {
+          const auto [k, inserted] = index_of.Insert(right_rows[r].first, key_of);
+          if (inserted) {
+            head.push_back(static_cast<uint32_t>(r));
+          } else {
+            next[r] = head[k];
+            head[k] = static_cast<uint32_t>(r);
+          }
         }
         std::vector<std::pair<K, std::pair<V, W>>> out;
+        out.reserve(left_rows.size());
         for (const auto& [key, value] : left_rows) {
-          auto it = right_index.find(key);
-          if (it == right_index.end()) {
+          const uint32_t k = index_of.Find(key, key_of);
+          if (k == kEnd) {
             continue;
           }
-          for (const W* w : it->second) {
-            out.emplace_back(key, std::pair<V, W>(value, *w));
+          for (uint32_t r = head[k]; r != kEnd; r = next[r]) {
+            out.emplace_back(key, std::pair<V, W>(value, right_rows[r].second));
           }
         }
         return out;
@@ -256,17 +286,22 @@ RddPtr<std::pair<K, std::pair<std::vector<V>, std::vector<W>>>> CoGroupCoPartiti
       [left, right](TaskContext& tc, uint32_t index) {
         const BlockPtr left_block = tc.GetBlock(*left, index);
         const BlockPtr right_block = tc.GetBlock(*right, index);
-        std::unordered_map<K, Groups> groups;
+        // One group per key, dense and in first-seen order.
+        std::vector<std::pair<K, Groups>> out;
+        FlatKeyIndex<K> index_of;
+        const auto key_of = [&out](uint32_t row) -> const K& { return out[row].first; };
+        const auto group_of = [&](const K& key) -> Groups& {
+          const auto [row, inserted] = index_of.Insert(key, key_of);
+          if (inserted) {
+            out.emplace_back(key, Groups());
+          }
+          return out[row].second;
+        };
         for (const auto& [key, value] : RowsOf<std::pair<K, V>>(left_block)) {
-          groups[key].first.push_back(value);
+          group_of(key).first.push_back(value);
         }
         for (const auto& [key, value] : RowsOf<std::pair<K, W>>(right_block)) {
-          groups[key].second.push_back(value);
-        }
-        std::vector<std::pair<K, Groups>> out;
-        out.reserve(groups.size());
-        for (auto& [key, group] : groups) {
-          out.emplace_back(key, std::move(group));
+          group_of(key).second.push_back(value);
         }
         std::sort(out.begin(), out.end(),
                   [](const auto& a, const auto& b) { return a.first < b.first; });

@@ -93,15 +93,46 @@ struct BoundResult {
   std::vector<int> completion;
 };
 
-// LP relaxation over the free groups given remaining capacity. Fixed groups'
+// Every group's cost-reducing hull upgrades, built once per solve in one total
+// order: efficiency descending, then group, then hull position. Each group's
+// hull has strictly decreasing efficiencies, so its upgrades appear in hull
+// order and the greedy below takes them as a prefix.
+std::vector<Upgrade> SortedUpgrades(const std::vector<Group>& groups) {
+  std::vector<Upgrade> upgrades;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const Group& grp = groups[g];
+    for (size_t k = 0; k + 1 < grp.hull.size(); ++k) {
+      const Item& from = grp.items[grp.hull[k]];
+      const Item& to = grp.items[grp.hull[k + 1]];
+      const double dw = to.weight - from.weight;
+      const double dc = to.cost - from.cost;
+      const double efficiency = -dc / dw;
+      if (efficiency > kEps) {
+        upgrades.push_back({static_cast<int>(g), static_cast<int>(k), dw, dc, efficiency});
+      }
+    }
+  }
+  std::sort(upgrades.begin(), upgrades.end(), [](const Upgrade& a, const Upgrade& b) {
+    if (a.efficiency != b.efficiency) {
+      return a.efficiency > b.efficiency;
+    }
+    if (a.group != b.group) {
+      return a.group < b.group;
+    }
+    return a.hull_pos < b.hull_pos;
+  });
+  return upgrades;
+}
+
+// LP relaxation over the free groups given remaining capacity: one linear pass
+// over the presorted upgrades, skipping fixed groups. Fixed groups'
 // cost/weight are already subtracted by the caller.
-BoundResult LpBound(const std::vector<Group>& groups, const std::vector<int>& fixed,
-                    double remaining_capacity) {
+BoundResult LpBound(const std::vector<Group>& groups, const std::vector<Upgrade>& upgrades,
+                    const std::vector<int>& fixed, double remaining_capacity) {
   BoundResult res;
   res.completion.assign(groups.size(), -1);
   double base_cost = 0.0;
   double base_weight = 0.0;
-  std::vector<Upgrade> upgrades;
   for (size_t g = 0; g < groups.size(); ++g) {
     if (fixed[g] != -1) {
       continue;
@@ -111,25 +142,16 @@ BoundResult LpBound(const std::vector<Group>& groups, const std::vector<int>& fi
     base_cost += lightest.cost;
     base_weight += lightest.weight;
     res.completion[g] = grp.hull[0];
-    for (size_t k = 0; k + 1 < grp.hull.size(); ++k) {
-      const Item& from = grp.items[grp.hull[k]];
-      const Item& to = grp.items[grp.hull[k + 1]];
-      const double dw = to.weight - from.weight;
-      const double dc = to.cost - from.cost;
-      upgrades.push_back({static_cast<int>(g), static_cast<int>(k), dw, dc, -dc / dw});
-    }
   }
   if (base_weight > remaining_capacity + kEps) {
     return res;  // even the lightest completion does not fit
   }
-  std::sort(upgrades.begin(), upgrades.end(),
-            [](const Upgrade& a, const Upgrade& b) { return a.efficiency > b.efficiency; });
 
   double cap = remaining_capacity - base_weight;
   double cost = base_cost;
   for (const Upgrade& up : upgrades) {
-    if (up.efficiency <= kEps) {
-      break;  // no further cost reduction available
+    if (fixed[up.group] != -1) {
+      continue;
     }
     if (up.dweight <= cap + kEps) {
       cap -= up.dweight;
@@ -178,6 +200,7 @@ MckpSolution SolveMckp(const std::vector<MckpGroup>& groups, double capacity, in
     BLAZE_CHECK(!groups[g].choices.empty()) << "MCKP group " << g << " has no choices";
     pre[g] = Preprocess(groups[g]);
   }
+  const std::vector<Upgrade> upgrades = SortedUpgrades(pre);
 
   double best_cost = kInf;
   std::vector<int> best_choice;
@@ -187,7 +210,7 @@ MckpSolution SolveMckp(const std::vector<MckpGroup>& groups, double capacity, in
   auto root = std::make_shared<Node>();
   root->fixed.assign(n, -1);
   {
-    const BoundResult b = LpBound(pre, root->fixed, capacity);
+    const BoundResult b = LpBound(pre, upgrades, root->fixed, capacity);
     if (!b.feasible) {
       return out;  // infeasible
     }
@@ -237,7 +260,7 @@ MckpSolution SolveMckp(const std::vector<MckpGroup>& groups, double capacity, in
       child->fixed[bg] = static_cast<int>(item_idx);
       child->fixed_cost = node->fixed_cost + item.cost;
       child->fixed_weight = fw;
-      const BoundResult b = LpBound(pre, child->fixed, capacity - child->fixed_weight);
+      const BoundResult b = LpBound(pre, upgrades, child->fixed, capacity - child->fixed_weight);
       if (!b.feasible) {
         continue;
       }

@@ -267,6 +267,37 @@ TEST(BlazeIlpTest, PlannedPromotionIsChargedToTheOwner) {
   }
 }
 
+// A disk-resident block past its last reader is not promoted: the stage-end
+// refcount_zero unpersist would throw the disk read away.
+TEST(BlazeIlpTest, DeadBlockOnDiskIsNotPromoted) {
+  EngineContext engine(TinyConfig(KiB(96)));
+  auto coordinator = std::make_unique<BlazeCoordinator>(&engine, BlazeOptions::Full());
+  BlazeCoordinator* blaze = coordinator.get();
+  engine.SetCoordinator(std::move(coordinator));
+
+  auto base = Ints(engine, "dead.base", 2000);      // ~8 KiB, read by jobs 0-1
+  auto filler = Ints(engine, "dead.filler", 2000);  // produced by job 2
+  SeedReads(blaze, {{base.get(), 0, 1}, {filler.get(), 2, 3}});
+  ASSERT_EQ(base->Count(), 2000u);
+  ASSERT_EQ(base->Count(), 2000u);
+  const BlockId id{base->id(), 0};
+  MoveToDisk(engine, blaze, id);
+  const uint64_t fetches_before = engine.metrics().Snapshot().async_fetches;
+
+  ASSERT_EQ(filler->Count(), 2000u);  // job 2: plans with the dead block on disk
+  engine.DrainAllSpills();
+
+  EXPECT_EQ(engine.metrics().Snapshot().async_fetches, fetches_before);
+  for (const AuditRecord& record : engine.audit().Snapshot()) {
+    EXPECT_NE(std::string(record.reason), "ilp_promote")
+        << "rdd " << record.rdd_id << " partition " << record.partition;
+  }
+  BlockManager& bm = engine.block_manager(0);
+  EXPECT_FALSE(bm.memory().Contains(id));
+  EXPECT_FALSE(bm.disk().Contains(id));
+  EXPECT_EQ(blaze->lineage().GetState(id.rdd_id, id.partition), PartitionState::kNone);
+}
+
 // The promotion's disk read runs on the spill worker while a second job's
 // admission evicts and its stage end auto-unpersists the block. In every
 // order the three can land in, memory, disk and lineage agree afterwards, and

@@ -247,13 +247,15 @@ if [[ "$mode" == "asan" || "$mode" == "all" ]]; then
   # net_frame too: its decoders parse bytes from blaze_serve's TCP port.
   # blaze_ilp and blaze_coordinator: Blaze's planned disk->memory promotion
   # hands blocks decoded on the spill worker to the memory store.
+  # pair_rdd and rdd_ops: the keyed operators' FlatKeyIndex does raw slot
+  # arithmetic over its probe table.
   echo "=== [asan] configure+build ==="
   cmake -B build-asan -S . -DBLAZE_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j "$jobs"
   echo "=== [asan] ctest (storage/columnar subset) ==="
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" \
     ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-      -R 'columnar_arena|storage|spill_pipeline|memory_arbiter|serialize|dataflow|fusion|vectorized|cache_policy|net_frame|blaze_ilp|blaze_coordinator'
+      -R 'columnar_arena|storage|spill_pipeline|memory_arbiter|serialize|dataflow|fusion|vectorized|cache_policy|net_frame|blaze_ilp|blaze_coordinator|pair_rdd|rdd_ops'
   ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}" spill_smoke build-asan
 fi
 

@@ -21,7 +21,7 @@ namespace {
 
 // A fixed mini-workload with caching, iteration, joins, and a shuffle; returns
 // a deterministic scalar fingerprint.
-int64_t RunFingerprintWorkload(EngineContext& engine) {
+uint64_t RunFingerprintWorkload(EngineContext& engine) {
   auto base = Generate<std::pair<uint32_t, int>>(&engine, "inv.base", 6, [](uint32_t p) {
     std::vector<std::pair<uint32_t, int>> rows;
     for (uint32_t k = 0; k < 600; ++k) {
@@ -65,14 +65,16 @@ int64_t RunFingerprintWorkload(EngineContext& engine) {
     current = next;
     (void)sum;
   }
-  int64_t fingerprint = 0;
+  // Unsigned, so the fold wraps modulo 2^64 instead of overflowing.
+  uint64_t fingerprint = 0;
   for (const auto& [key, value] : current->Collect()) {
-    fingerprint = fingerprint * 1315423911 + key * 7 + value;
+    fingerprint = fingerprint * 1315423911u + static_cast<uint64_t>(key) * 7 +
+                  static_cast<uint64_t>(value);
   }
   return fingerprint;
 }
 
-int64_t ReferenceFingerprint() {
+uint64_t ReferenceFingerprint() {
   EngineConfig config;
   config.num_executors = 2;
   config.threads_per_executor = 2;
@@ -118,7 +120,7 @@ std::vector<SystemSetup> AllSystems() {
 class SystemEquivalenceTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(SystemEquivalenceTest, FingerprintMatchesReference) {
-  static const int64_t reference = ReferenceFingerprint();
+  static const uint64_t reference = ReferenceFingerprint();
   const SystemSetup setup = AllSystems()[GetParam()];
   EngineConfig config;
   config.num_executors = 2;
@@ -135,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, SystemEquivalenceTest,
 class CapacityEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CapacityEquivalenceTest, FingerprintIndependentOfCapacity) {
-  static const int64_t reference = ReferenceFingerprint();
+  static const uint64_t reference = ReferenceFingerprint();
   EngineConfig config;
   config.num_executors = 2;
   config.threads_per_executor = 2;
@@ -152,7 +154,7 @@ INSTANTIATE_TEST_SUITE_P(Capacities, CapacityEquivalenceTest,
 class ExecutorCountEquivalenceTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ExecutorCountEquivalenceTest, FingerprintIndependentOfClusterShape) {
-  static const int64_t reference = ReferenceFingerprint();
+  static const uint64_t reference = ReferenceFingerprint();
   EngineConfig config;
   config.num_executors = GetParam();
   config.threads_per_executor = 5 - std::min<size_t>(4, GetParam());

@@ -1,26 +1,16 @@
 // Micro-benchmarks for pipelined narrow-stage execution: operator chains run
-// fused (one pipelined compute per partition, no intermediate blocks), plus
-// copy-vs-view for the zero-copy Union/Coalesce block paths, plus
-// vectorized-vs-row execution of the same fused chains over columnar-cached
-// pair sources. The headline comparison: the vectorized path beats the fused
-// row path on POD pair chains.
-//
-// CI floor (enforced after the google-benchmark run, exit 1 on miss):
-//   BLAZE_MICRO_PIPELINE_MIN_VEC_SPEEDUP  vectorized vs row-at-a-time fused
-//                                         execution of the 4-map+filter pair chain
+// fused (one pipelined compute per partition, no intermediate blocks), the
+// vectorized path over a columnar-cached pair source, and copy-vs-view for
+// the zero-copy Union/Coalesce block paths.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/cache/policies.h"
 #include "src/cache/policy_coordinator.h"
-#include "src/common/stopwatch.h"
 #include "src/common/units.h"
 #include "src/dataflow/rdd.h"
 #include "src/dataflow/rdd_ops.h"
@@ -31,12 +21,11 @@ namespace {
 constexpr int kRowsPerPartition = 256 * 1024;
 constexpr uint32_t kPartitions = 8;
 
-EngineConfig BenchConfig(bool vectorized = true) {
+EngineConfig BenchConfig() {
   EngineConfig config;
   config.num_executors = 2;
   config.threads_per_executor = 2;
   config.memory_capacity_per_executor = MiB(512);
-  config.enable_vectorized = vectorized;
   return config;
 }
 
@@ -104,13 +93,10 @@ void BM_PodChain6_Fused(benchmark::State& state) { RunPodChain(state, true); }
 BENCHMARK(BM_PodChain3_Fused)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PodChain6_Fused)->Unit(benchmark::kMillisecond);
 
-// --- vectorized vs row-at-a-time fused execution -----------------------------------
+// --- vectorized fused execution -----------------------------------------------------
 //
-// Same fused 3-op chain over a cached pair source, with the vectorized path
-// on (columnar-cached source, ColumnBatch kernels, selection-vector filter)
-// and off (object-row cache, one virtual RowSink::Push + three std::function
-// hops per row). The per-row dispatch is the cost vectorization amortizes to
-// one virtual call per 1024-row batch.
+// Fused 3-op chain over a columnar-cached pair source: ColumnBatch kernels
+// and a selection-vector filter, one virtual call per 1024-row batch.
 
 using PairRow = std::pair<uint32_t, double>;
 
@@ -131,49 +117,19 @@ RddPtr<PairRow> PairChain3(RddPtr<PairRow> base) {
       ->Map([](const PairRow& r) { return PairRow{r.first + 1, r.second + 1.0}; });
 }
 
-// Floor chain: four maps then a 1/16-selective filter over scalar POD rows.
-// Map-heavy is the regime batching targets — the row path pays one virtual
-// Push per row per link (5 links x 2M rows), while the vectorized path pays
-// one virtual call per 1024-row batch and runs each kernel as a tight loop
-// the compiler can SIMD-vectorize (scalar rows sit in a dense array, so the
-// source pushes zero-copy windows — no gather). The trailing filter shrinks
-// the output block 16x so the (path-independent) cost of materializing the
-// result doesn't dilute the per-row comparison.
-RddPtr<uint64_t> U64Source(EngineContext* engine) {
-  return Generate<uint64_t>(engine, "u64s", kPartitions, [](uint32_t p) {
-    std::vector<uint64_t> rows(kRowsPerPartition);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      rows[i] = p * rows.size() + i;
-    }
-    return rows;
-  });
-}
-
-RddPtr<uint64_t> U64ChainWide(RddPtr<uint64_t> base) {
-  return base->Map([](const uint64_t& x) { return x * 3; })
-      ->Map([](const uint64_t& x) { return x + 7; })
-      ->Map([](const uint64_t& x) { return x ^ (x >> 13); })
-      ->Map([](const uint64_t& x) { return x * uint64_t{2654435761}; })
-      ->Filter([](const uint64_t& x) { return (x & 15) == 0; });
-}
-
-void RunPairChain(benchmark::State& state, bool vectorized) {
-  EngineContext engine(BenchConfig(vectorized));
+void BM_PairChain3_Vectorized(benchmark::State& state) {
+  EngineContext engine(BenchConfig());
   InstallCache(&engine);
   auto base = PairSource(&engine);
   base->Cache();
-  base->Count();  // admit: columnar when vectorized, object rows when not
+  base->Count();  // admit: pairs cache columnar
   for (auto _ : state) {
     benchmark::DoNotOptimize(PairChain3(base)->Count());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kRowsPerPartition *
                           kPartitions);
 }
-
-void BM_PairChain3_Vectorized(benchmark::State& state) { RunPairChain(state, true); }
-void BM_PairChain3_RowFused(benchmark::State& state) { RunPairChain(state, false); }
 BENCHMARK(BM_PairChain3_Vectorized)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PairChain3_RowFused)->Unit(benchmark::kMillisecond);
 
 void BM_StringChain3_Fused(benchmark::State& state) {
   EngineContext engine(BenchConfig());
@@ -241,62 +197,7 @@ void BM_PassThroughBlock_ViewStrings(benchmark::State& state) {
 }
 BENCHMARK(BM_PassThroughBlock_ViewStrings);
 
-// --- CI floor ----------------------------------------------------------------------
-
-// The vectorized pair chain must beat the fused row path by the configured
-// factor. Both engines run the identical fused 5-op chain over the identically
-// cached source; only the execution path (and with it the cache
-// representation) differs.
-int CheckVectorizedFloor(double min_speedup) {
-  const auto time_path = [](bool vectorized) {
-    EngineContext engine(BenchConfig(vectorized));
-    InstallCache(&engine);
-    auto base = U64Source(&engine);
-    base->Cache();
-    base->Count();
-    double best = 1e300;
-    for (int r = 0; r < 7; ++r) {
-      Stopwatch sw;
-      benchmark::DoNotOptimize(U64ChainWide(base)->Count());
-      best = std::min(best, sw.ElapsedMillis());
-    }
-    return best;
-  };
-  // Discarded warmup: the first engine in the process pays the allocator's
-  // page faults for the 2M-row working set; every later engine reuses the
-  // grown heap. Without this the first-timed path loses ~40% unfairly.
-  (void)time_path(false);
-  const double row_ms = time_path(false);
-  const double vec_ms = time_path(true);
-  const double speedup = row_ms / vec_ms;
-  std::printf("vectorized chain floor (uint64 4-map+filter): row %.3f ms, "
-              "vectorized %.3f ms, speedup %.2fx (floor %.2fx)\n",
-              row_ms, vec_ms, speedup, min_speedup);
-  if (speedup < min_speedup) {
-    std::fprintf(stderr, "FAILED: vectorized chain speedup %.2fx below floor %.2fx\n",
-                 speedup, min_speedup);
-    return 1;
-  }
-  return 0;
-}
-
-int RunFloors() {
-  int rc = 0;
-  if (const char* env = std::getenv("BLAZE_MICRO_PIPELINE_MIN_VEC_SPEEDUP")) {
-    rc |= CheckVectorizedFloor(std::atof(env));
-  }
-  return rc;
-}
-
 }  // namespace
 }  // namespace blaze
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return blaze::RunFloors();
-}
+BENCHMARK_MAIN();

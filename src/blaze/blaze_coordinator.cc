@@ -13,6 +13,14 @@
 
 namespace blaze {
 
+namespace {
+
+// ILP horizon in jobs: the current job and the next one (paper §5.5 bounds
+// the planned set J this way so each solve stays punctual).
+constexpr int kWindowJobs = 2;
+
+}  // namespace
+
 BlazeCoordinator::BlazeCoordinator(EngineContext* engine, BlazeOptions options)
     : engine_(engine), options_(options) {
   for (size_t e = 0; e < engine->num_executors(); ++e) {
@@ -440,7 +448,7 @@ void BlazeCoordinator::RunIlpPlan(int job_id) {
   // choices would only crowd out the real candidates (Eq. 5 optimizes over
   // the partitions "to be used in our upcoming jobs").
   std::vector<RddId> window_roles;
-  for (int j = job_id; j < job_id + options_.window_jobs; ++j) {
+  for (int j = job_id; j < job_id + kWindowJobs; ++j) {
     for (RddId role : lineage_.RolesReferencedIn(j)) {
       if (lineage_.FutureRefCount(role, job_id, /*include_current=*/true) > 0) {
         window_roles.push_back(role);
@@ -684,7 +692,7 @@ void BlazeCoordinator::RunIlpPlan(int job_id) {
             // d -> m prefetch: reload if the dataset is still alive and it
             // fits. Scheduled on the spill worker so the disk read overlaps
             // with the planning round and the job's first tasks; a refused
-            // enqueue (sync_spill, full queue) reads here, under the lock.
+            // enqueue (full queue) reads here, under the lock.
             auto rdd = engine_->FindRdd(id.rdd_id);
             if (rdd == nullptr) {
               continue;

@@ -30,12 +30,11 @@ struct BlazeOptions {
   bool cost_aware_eviction = true;  // victims by potential cost, not LRU
   bool ilp = true;                  // ILP state plan + recompute-vs-disk choice
   bool use_disk = true;             // false = Blaze(MEM), no disk tier
-  int window_jobs = 2;              // ILP horizon: current + next job(s)
 
   static BlazeOptions Full() { return BlazeOptions{}; }
-  static BlazeOptions AutoCacheOnly() { return {true, false, false, true, 2}; }
-  static BlazeOptions CostAware() { return {true, true, false, true, 2}; }
-  static BlazeOptions MemoryOnly() { return {true, true, true, false, 2}; }
+  static BlazeOptions AutoCacheOnly() { return {true, false, false, true}; }
+  static BlazeOptions CostAware() { return {true, true, false, true}; }
+  static BlazeOptions MemoryOnly() { return {true, true, true, false}; }
 };
 
 class BlazeCoordinator : public CacheCoordinator {

@@ -55,8 +55,6 @@ EngineContext::EngineContext(const EngineConfig& config)
     bm_config.memory_capacity_bytes = config.memory_capacity_per_executor;
     bm_config.disk_dir = disk_root_ / ("executor_" + std::to_string(e));
     bm_config.disk_throughput_bytes_per_sec = config.disk_throughput_bytes_per_sec;
-    bm_config.sync_spill = config.sync_spill;
-    bm_config.spill_queue_depth = config.spill_queue_depth;
     executors_.push_back(
         std::make_unique<Executor>(e, bm_config, &metrics_, config.threads_per_executor));
   }

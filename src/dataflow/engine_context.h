@@ -49,20 +49,6 @@ struct EngineConfig {
   // retries up to max_task_attempts, as Spark's TaskSetManager does.
   double task_failure_rate = 0.0;
   int max_task_attempts = 4;
-  // Kill switch: evictions serialize+write on the evicting task's path (the
-  // pre-PR5 behavior) instead of the asynchronous spill worker.
-  bool sync_spill = false;
-  // Bound of the per-executor spill/fetch queue; a full queue falls back to
-  // the synchronous path (backpressure).
-  size_t spill_queue_depth = 32;
-  // Vectorized (batch-at-a-time) execution: fusable chains whose operators
-  // all have columnar kernels run as tight per-column loops over ColumnBatch
-  // views (selection vectors instead of row copies), reading cached columnar
-  // blocks without row recomposition. Off = every chain takes the
-  // row-at-a-time RowSink path and raw-copyable pair types stop being cached
-  // columnar (their layout only pays off with kernels). Kill switch for A/B
-  // benchmarking and debugging; results are identical either way.
-  bool enable_vectorized = true;
   // Live telemetry (MetricsExporter): -1 = no HTTP endpoints (default),
   // 0 = bind an ephemeral loopback port, >0 = bind that port. /metrics serves
   // Prometheus text, /stats one-line JSON. Overridable at runtime with the

@@ -58,11 +58,7 @@ class Rdd : public RddBase {
 
   BlockPtr CacheRepresentation(const BlockPtr& block) const override {
     if constexpr (kColumnarAutoEligible<T>) {
-      // Layouts that only pay off under vectorized execution (raw-copyable
-      // pairs) stay as object rows when the vectorized path is off: without
-      // column kernels every memory hit would eat a recompose for nothing.
-      if ((kColumnarNeedsVectorized<T> && !this->context()->config().enable_vectorized) ||
-          block->representation() != BlockRepresentation::kObjectRows) {
+      if (block->representation() != BlockRepresentation::kObjectRows) {
         return block;
       }
       auto columnar = std::make_shared<ColumnarBlock<T>>(RowsOf<T>(block));
@@ -174,7 +170,7 @@ class Rdd : public RddBase {
   // tc.GetColumnarForTask and windowed into batches — columnar blocks gather
   // through a scratch buffer without materializing a row block, object-row
   // blocks emit zero-copy dense windows. Returns false if the chain has a
-  // kernel-less link or vectorization is switched off.
+  // kernel-less link.
   bool StreamBatches(TaskContext& tc, uint32_t index, ColumnSink<T>& sink) const;
 };
 
@@ -243,7 +239,7 @@ class PipelineRdd final : public Rdd<U> {
     // consumer only speaks rows (a row-only operator downstream, or a
     // RowSink-based terminal). Declining is side-effect free, so the row
     // stream below starts from scratch.
-    if (vec_ != nullptr && this->context()->config().enable_vectorized) {
+    if (vec_ != nullptr) {
       BatchToRowSink<U> bridge(&sink);
       if (vec_(tc, index, bridge)) {
         return;
@@ -256,7 +252,7 @@ class PipelineRdd final : public Rdd<U> {
     // Terminal of a fully-vectorized chain: collect surviving batches into
     // the block's row vector. Falls back to the row pipeline when any
     // upstream link lacks a kernel.
-    if (vec_ != nullptr && this->context()->config().enable_vectorized) {
+    if (vec_ != nullptr) {
       auto out = std::make_shared<std::vector<U>>();
       CollectColumnSink<U> collect(out.get());
       if (vec_(tc, index, collect)) {
@@ -360,9 +356,6 @@ SharedRows<T> Rdd<T>::FusedRows(TaskContext& tc, uint32_t index) const {
 
 template <typename T>
 bool Rdd<T>::StreamBatches(TaskContext& tc, uint32_t index, ColumnSink<T>& sink) const {
-  if (!this->context()->config().enable_vectorized) {
-    return false;
-  }
   if (IsFusable() && !tc.IsFusionBarrier(*this)) {
     // Interior link: run this operator's kernel (if any) over parent batches.
     if (!HasColumnarKernel() || !StreamBatchesFused(tc, index, sink)) {

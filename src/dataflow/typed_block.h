@@ -25,7 +25,6 @@
 #ifndef SRC_DATAFLOW_TYPED_BLOCK_H_
 #define SRC_DATAFLOW_TYPED_BLOCK_H_
 
-#include <concepts>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -155,25 +154,6 @@ template <typename T>
 inline constexpr bool kColumnarAutoEligible =
     BlazeColumns<T>::kEnabled && BlazeColumns<T>::kAutoSelect;
 
-// Some layouts only pay off when tasks can execute over the columns directly:
-// raw-copyable pairs are already contiguous and bulk-copyable as object
-// vectors, so columnarizing them buys nothing on the storage path and costs a
-// recompose per memory hit on the row path. Such specializations set
-// kRequiresVectorized, and Rdd::CacheRepresentation keeps them as object rows
-// whenever EngineConfig::enable_vectorized is off.
-template <typename T>
-consteval bool ColumnarNeedsVectorizedImpl() {
-  if constexpr (requires {
-                  { BlazeColumns<T>::kRequiresVectorized } -> std::convertible_to<bool>;
-                }) {
-    return BlazeColumns<T>::kRequiresVectorized;
-  } else {
-    return false;
-  }
-}
-template <typename T>
-inline constexpr bool kColumnarNeedsVectorized = ColumnarNeedsVectorizedImpl<T>();
-
 // Recomposes row i into an existing row object. Specializations with
 // variable-length fields provide AssignRow so a vectorized gather loop can
 // reuse one scratch row's heap capacity across the whole batch; the fallback
@@ -206,16 +186,13 @@ ArenaColumn<T> DecodeColumn(ByteSource& src, size_t n, BlockArena& arena) {
 }
 
 // Generic columnar layout for pairs of arithmetic fields — the currency of
-// every shuffle (PageRank ranks, word counts, join keys). Auto-selected, but
-// only when vectorized execution is on (kRequiresVectorized): without column
-// kernels the pair columns would be recomposed into rows on every memory hit,
-// and padding-free pairs already ride the codec's raw-copy fast path.
+// every shuffle (PageRank ranks, word counts, join keys). Auto-selected: the
+// vectorized path reads the columns without recomposing rows.
 template <typename A, typename B>
   requires(std::is_arithmetic_v<A> && std::is_arithmetic_v<B>)
 struct BlazeColumns<std::pair<A, B>> {
   static constexpr bool kEnabled = true;
   static constexpr bool kAutoSelect = true;
-  static constexpr bool kRequiresVectorized = true;
 
   struct Columns {
     ArenaColumn<A> first;

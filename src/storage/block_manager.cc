@@ -23,7 +23,6 @@ BlockManager::BlockManager(size_t executor_id, const BlockManagerConfig& config,
       memory_(config.memory_capacity_bytes, &arbiter_),
       disk_(config.disk_dir, config.disk_throughput_bytes_per_sec),
       metrics_(metrics),
-      sync_spill_(config.sync_spill),
       spill_(std::make_unique<SpillQueue>(this, config.spill_queue_depth, metrics)) {}
 
 BlockManager::~BlockManager() {
@@ -32,9 +31,6 @@ BlockManager::~BlockManager() {
 }
 
 bool BlockManager::SpillAsync(const BlockId& id, BlockPtr data) {
-  if (sync_spill_) {
-    return false;
-  }
   return spill_->EnqueueSpill(id, std::move(data));
 }
 
@@ -46,7 +42,7 @@ BlockManager::WriteBackResult BlockManager::WriteBack(const BlockId& id, const B
   if (SpillAsync(id, data)) {
     return WriteBackResult::kQueued;
   }
-  // Queue full, same id mid-write, or sync_spill: the caller pays the write.
+  // Queue full or same id mid-write: the caller pays the write.
   const double ms = SpillToDisk(id, *data);
   if (charge != nullptr) {
     charge->cache_disk_ms += ms;
@@ -64,9 +60,6 @@ bool BlockManager::CancelSpill(const BlockId& id) { return spill_->Cancel(id); }
 void BlockManager::DrainSpills() { spill_->Drain(); }
 
 bool BlockManager::FetchAsync(const BlockId& id, SpillQueue::FetchCallback on_loaded) {
-  if (sync_spill_) {
-    return false;
-  }
   return spill_->EnqueueFetch(id, std::move(on_loaded));
 }
 

@@ -8,8 +8,8 @@
 // store's capacity bound shrinks as shuffle bytes are charged) and its
 // SpillQueue (asynchronous spill/fetch worker). WriteBack is the single disk
 // write path coordinators use; it and FetchAsync go off-path through the
-// queue, and `sync_spill` in the config is the kill switch that turns the
-// queue off so every write falls back to the synchronous path.
+// queue, and only a full queue (back-pressure) sends a write back onto the
+// calling thread.
 #ifndef SRC_STORAGE_BLOCK_MANAGER_H_
 #define SRC_STORAGE_BLOCK_MANAGER_H_
 
@@ -30,8 +30,9 @@ struct BlockManagerConfig {
   uint64_t memory_capacity_bytes = 64ULL << 20;
   std::filesystem::path disk_dir;
   uint64_t disk_throughput_bytes_per_sec = 0;  // 0 = unthrottled
-  bool sync_spill = false;       // kill switch: evictions block the task path
-  size_t spill_queue_depth = 32;  // bounded; full queue falls back to sync
+  // Bounded; a full queue falls back to a synchronous write (back-pressure).
+  // Engines keep the default; tests shrink it to force a full queue.
+  size_t spill_queue_depth = 32;
 };
 
 class BlockManager {
@@ -53,7 +54,7 @@ class BlockManager {
 
   // Hands the victim to the spill worker; the write happens off the task
   // path. Returns false — caller must SpillToDisk synchronously — when the
-  // queue is full, the same id is mid-write, or sync_spill is set.
+  // queue is full or the same id is mid-write.
   bool SpillAsync(const BlockId& id, BlockPtr data);
 
   enum class WriteBackResult {
@@ -82,8 +83,8 @@ class BlockManager {
   void DrainSpills();
 
   // Schedules an asynchronous disk read on the spill worker (recovery /
-  // promotion overlap). Returns false if sync_spill is set or the queue is
-  // full — caller reads synchronously.
+  // promotion overlap). Returns false if the queue is full — caller reads
+  // synchronously.
   bool FetchAsync(const BlockId& id, SpillQueue::FetchCallback on_loaded);
 
   // Depth of the spill/fetch queue right now (diagnostics).
@@ -108,7 +109,6 @@ class BlockManager {
   MemoryStore memory_;
   DiskStore disk_;
   RunMetrics* metrics_;
-  bool sync_spill_;
   std::unique_ptr<SpillQueue> spill_;  // constructed last, destroyed first
 };
 

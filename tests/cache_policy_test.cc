@@ -444,9 +444,7 @@ RddPtr<int> CachedInts(EngineContext& engine, const std::string& name, uint32_t 
 // idle meanwhile: the second disk hit promotes it over them. Its disk copy is
 // kept, so evicting it again later writes nothing.
 TEST(PolicyCoordinatorTest, HotBlockPromotedOnSecondDiskHitEvictsForFree) {
-  EngineConfig config = TinyConfig(KiB(52));
-  config.sync_spill = true;  // every disk write lands on the task's metrics
-  EngineContext engine(config);
+  EngineContext engine(TinyConfig(KiB(52)));
   engine.SetCoordinator(std::make_unique<PolicyCoordinator>(&engine, MakePolicy("lru"),
                                                             EvictionMode::kMemAndDisk));
   BlockManager& bm = engine.block_manager(0);
@@ -457,6 +455,7 @@ TEST(PolicyCoordinatorTest, HotBlockPromotedOnSecondDiskHitEvictsForFree) {
   hot->Count();
   filler->Count();
   warm->Count();  // evicts `hot`, the least recently used, to disk
+  engine.DrainAllSpills();  // the write-back commits off the task path
   ASSERT_FALSE(bm.memory().Contains(hot_id));
   ASSERT_TRUE(bm.disk().Contains(hot_id));
   for (int i = 0; i < 10; ++i) {
@@ -474,14 +473,19 @@ TEST(PolicyCoordinatorTest, HotBlockPromotedOnSecondDiskHitEvictsForFree) {
   // `hot` holds: `hot` is the victim, and its disk copy makes that free.
   filler->Count();
   warm->Count();
-  const uint64_t written_before =
-      engine.metrics().Snapshot().total_task.cache_disk_bytes_written;
+  engine.DrainAllSpills();
+  const auto before = engine.metrics().Snapshot();
   const uint64_t disk_before = bm.disk().used_bytes();
   auto pusher = CachedInts(engine, "pusher", 1, 3000);
   pusher->Count();
+  engine.DrainAllSpills();  // any write-back the eviction queued has landed
   EXPECT_FALSE(bm.memory().Contains(hot_id));
   EXPECT_TRUE(bm.memory().Contains(BlockId{pusher->id(), 0}));
-  EXPECT_EQ(engine.metrics().Snapshot().total_task.cache_disk_bytes_written, written_before);
+  const auto after = engine.metrics().Snapshot();
+  // Nothing went to the spill worker and nothing was written inline.
+  EXPECT_EQ(after.async_spills, before.async_spills);
+  EXPECT_EQ(after.total_task.cache_disk_bytes_written,
+            before.total_task.cache_disk_bytes_written);
   EXPECT_EQ(bm.disk().used_bytes(), disk_before);
   EXPECT_EQ(hot->Count(), 3000u);  // still served from the kept disk copy
 }

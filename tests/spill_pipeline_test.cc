@@ -1,10 +1,10 @@
 // Asynchronous spill/fetch pipeline and the pinned-block lifecycle: the
 // write-claim state machine (a block being spilled stays readable from
 // memory until the disk write commits), cancellation, drain, the bounded
-// queue's sync fallback, the sync_spill kill switch, and the invariant that
-// eviction can never free a block an executing task has pinned. The stress
-// tests are deliberately thread-heavy so a TSan build exercises the
-// SpillQueue and MemoryStore locking for real.
+// queue's sync fallback, and the invariant that eviction can never free a
+// block an executing task has pinned. The stress tests are deliberately
+// thread-heavy so a TSan build exercises the SpillQueue and MemoryStore
+// locking for real.
 #include <gtest/gtest.h>
 
 #include "src/common/units.h"
@@ -83,18 +83,6 @@ TEST_F(SpillPipelineTest, InFlightSpillReadableUntilCommit) {
   EXPECT_TRUE(bm.disk().Contains(id));
 }
 
-TEST_F(SpillPipelineTest, SyncSpillKillSwitchDisablesQueue) {
-  RunMetrics metrics(1);
-  BlockManagerConfig config = Config();
-  config.sync_spill = true;
-  BlockManager bm(0, config, &metrics);
-  EXPECT_FALSE(bm.SpillAsync(BlockId{3, 0}, IntBlock(1, 10)));
-  EXPECT_FALSE(bm.FetchAsync(BlockId{3, 0}, [](auto, double) {}));
-  // The synchronous path is unaffected.
-  bm.SpillToDisk(BlockId{3, 0}, *IntBlock(1, 10));
-  EXPECT_TRUE(bm.disk().Contains(BlockId{3, 0}));
-}
-
 TEST_F(SpillPipelineTest, WriteBackQueuesOnceAndChargesNothing) {
   RunMetrics metrics(1);
   BlockManager bm(0, Config(/*throughput=*/KiB(64)), &metrics);
@@ -116,20 +104,37 @@ TEST_F(SpillPipelineTest, WriteBackQueuesOnceAndChargesNothing) {
 
 TEST_F(SpillPipelineTest, WriteBackFallsBackToSyncAndChargesTheCaller) {
   RunMetrics metrics(1);
-  BlockManagerConfig config = Config();
-  config.sync_spill = true;
+  BlockManagerConfig config = Config(/*throughput=*/KiB(64));
+  config.spill_queue_depth = 1;
   BlockManager bm(0, config, &metrics);
-  const BlockId id{12, 0};
+  // The blocker's ~250 ms throttled write keeps the worker busy, so the
+  // depth-1 queue holds at most one more item: of the two small write-backs
+  // that follow, at least one finds the queue full and is written inline.
+  ASSERT_EQ(bm.WriteBack(BlockId{12, 0}, IntBlock(1, 4096), nullptr),
+            BlockManager::WriteBackResult::kQueued);
   const BlockPtr block = IntBlock(1, 100);
   TaskMetrics charge;
-  EXPECT_EQ(bm.WriteBack(id, block, &charge), BlockManager::WriteBackResult::kWritten);
-  EXPECT_TRUE(bm.disk().Contains(id));
-  EXPECT_EQ(charge.cache_disk_bytes_written, block->SizeBytes());
-  EXPECT_GE(charge.cache_disk_ms, 0.0);
-  // A null charge (eviction with no task, e.g. an ILP demotion) still writes.
-  EXPECT_EQ(bm.WriteBack(BlockId{12, 1}, block, nullptr),
+  uint64_t written = 0;
+  for (uint32_t p = 1; p <= 2; ++p) {
+    const BlockId id{12, p};
+    if (bm.WriteBack(id, block, &charge) == BlockManager::WriteBackResult::kWritten) {
+      EXPECT_TRUE(bm.disk().Contains(id));
+      ++written;
+    }
+  }
+  ASSERT_GE(written, 1u);
+  EXPECT_EQ(charge.cache_disk_bytes_written, written * block->SizeBytes());
+  EXPECT_GT(charge.cache_disk_ms, 0.0);  // the throttled write ran on this thread
+  // Still full: a null charge (eviction with no task, e.g. an ILP demotion)
+  // writes inline too.
+  EXPECT_EQ(bm.WriteBack(BlockId{12, 3}, block, nullptr),
             BlockManager::WriteBackResult::kWritten);
-  EXPECT_TRUE(bm.disk().Contains(BlockId{12, 1}));
+  EXPECT_TRUE(bm.disk().Contains(BlockId{12, 3}));
+  bm.DrainSpills();
+  for (uint32_t p = 0; p <= 3; ++p) {
+    EXPECT_TRUE(bm.disk().Contains(BlockId{12, p})) << p;
+  }
+  EXPECT_GE(metrics.Snapshot().spill_queue_rejects, 2u);
 }
 
 TEST_F(SpillPipelineTest, FullQueueRejectsAndCountsIt) {
